@@ -16,7 +16,8 @@
 /// the experiment pipeline itself uses — so per-graph topology preparation
 /// amortizes across reps exactly as it does across samples of a sweep, and
 /// the steady state performs zero heap allocation.  Emits
-/// BENCH_scheduler.json.  Two gates, both enforced by CI:
+/// BENCH_scheduler.json.  Two optional gates (CI records the speedups as
+/// advisory output only, since they vary across machines):
 /// `--require X` checks the shared-bus speedup — the configuration that
 /// exercises the full optimized machinery (BusTimeline tail-hint /
 /// binary-search gap queries on a timeline that actually grows) — and
@@ -36,7 +37,6 @@
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
 #include "sched/batch.hpp"
-#include "sched/kernels/kernels.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/trace.hpp"
 #include "taskgraph/generator.hpp"
@@ -197,10 +197,6 @@ int main(int argc, char** argv) {
       << "  \"samples\": " << samples << ",\n"
       << "  \"procs\": " << procs << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"backend\": \"" << kernels::active().name << "\",\n"
-      << "  \"cpu_features\": \"" << kernels::cpu_features() << "\",\n"
-      << "  \"built_with_avx2\": " << (kernels::built_with_avx2() ? "true" : "false")
-      << ",\n"
       << "  \"contention_free\": {\"ref_ms\": " << free_t.ref_ms
       << ", \"fast_ms\": " << free_t.fast_ms << ", \"speedup\": " << free_t.speedup()
       << "},\n"

@@ -263,14 +263,6 @@ std::string CampaignSpec::canonical_text() const {
               : "gap-search")
       << '\n';
   out << "core = " << to_string(context.core) << '\n';
-  // Emitted only when forced, so every pre-existing spec keeps its
-  // canonical text (and hence its manifest hash) — same reasoning as the
-  // gap-mode keys below.  Auto is also semantically the only value whose
-  // results a cache may share across machines: backends are bit-exact by
-  // contract, so this key never changes results, only what it certifies.
-  if (context.backend != kernels::Backend::Auto) {
-    out << "backend = " << kernels::to_string(context.backend) << '\n';
-  }
   out << "validate = " << (context.validate ? 1 : 0) << '\n';
   // Gap-mode keys are emitted only when active so that every pre-existing
   // Lateness spec keeps its canonical text (and hence its manifest hash).
@@ -379,10 +371,15 @@ CampaignSpec CampaignSpec::parse(std::istream& in) {
       else if (value == "reference") spec.context.core = SchedulerCore::Reference;
       else throw std::invalid_argument("campaign: unknown core '" + value + "'");
     } else if (key == "backend") {
-      if (value == "auto") spec.context.backend = kernels::Backend::Auto;
-      else if (value == "scalar") spec.context.backend = kernels::Backend::Scalar;
-      else if (value == "avx2") spec.context.backend = kernels::Backend::Avx2;
-      else throw std::invalid_argument("campaign: unknown backend '" + value + "'");
+      // The scheduler once had selectable kernel backends.  `auto` named
+      // the default, so old specs that spell it out still parse (and hash
+      // as if the key were absent); a forced backend no longer exists.
+      if (value != "auto") {
+        throw std::invalid_argument("campaign: backend '" + value +
+                                    "' is not supported: the scheduler kernel "
+                                    "backends were removed (only 'auto' is "
+                                    "accepted, as a no-op)");
+      }
     } else if (key == "validate") {
       spec.context.validate = parse_int_field(key, value) != 0;
     } else if (key == "mode") {

@@ -81,7 +81,7 @@ commands:
   campaign    run a declarative experiment campaign (cache + resume)
   exact       branch-and-bound optimality oracle (single instance or gap sweep)
   profile     instrumented sweep: per-phase timings, counters, Chrome trace
-  diffsched   differential test of every (scheduler core x kernel backend)
+  diffsched   differential test of the two scheduler cores
   torture     crash-resume torture: kill campaigns at injected faults, resume,
               assert results identical to an uninterrupted run
   serve       long-lived evaluation daemon (HTTP/1.1 + JSON over TCP)
@@ -185,8 +185,7 @@ profile options (span taxonomy: docs/OBSERVABILITY.md):
 
 diffsched options (trace contract: docs/SCHEDULER.md):
   --trials N              randomized workloads, each replayed through all 12
-                          policy combinations on both cores, the fast core
-                          once per available kernel backend (default 500)
+                          policy combinations on both cores (default 500)
   --seed S                root RNG seed                  (default 1)
   --quick                 smaller graphs/machines (smoke run)
 

@@ -18,12 +18,6 @@ RunResult run_once(const TaskGraph& graph, Distributor& distributor,
   // running concurrent runs with distinct explicit sinks are on their own.
   std::optional<obs::ScopedSink> scoped;
   if (sink != nullptr && sink != obs::active()) scoped.emplace(*sink);
-  // A non-Auto backend rides the whole run, so the scheduler's hot loops
-  // and the lateness reduction resolve the same kernel table.
-  std::optional<kernels::ScopedBackend> backend;
-  if (context.backend != kernels::Backend::Auto) {
-    backend.emplace(context.backend);
-  }
 
   const DeadlineAssignment assignment = [&] {
     obs::SpanScope span(sink, obs::Span::Distribute);
@@ -69,16 +63,6 @@ RunResult run_once(const TaskGraph& graph, Distributor& distributor,
   result.utilization = schedule->average_utilization();
   result.min_laxity = assignment.min_laxity(graph);
   return result;
-}
-
-RunResult run_once(const TaskGraph& graph, Distributor& distributor,
-                   const Machine& machine, const RunOptions& options) {
-  RunContext context;
-  context.machine = machine;
-  context.scheduler = options.scheduler;
-  context.core = options.core;
-  context.validate = options.validate;
-  return run_once(graph, distributor, context);
 }
 
 }  // namespace feast

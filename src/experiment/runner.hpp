@@ -10,7 +10,6 @@
 #include "check/fault.hpp"
 #include "core/distributor.hpp"
 #include "obs/obs.hpp"
-#include "sched/kernels/kernels.hpp"
 #include "sched/lateness.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/machine.hpp"
@@ -41,13 +40,6 @@ struct RunContext {
   /// Reference exists so experiments can be replayed on the paper-faithful
   /// oracle (e.g. to cross-check a published figure end to end).
   SchedulerCore core = SchedulerCore::Fast;
-  /// Which kernel backend executes the run's hot loops.  Auto (default)
-  /// keeps the process-wide resolution (FEAST_SCHED_BACKEND env, then
-  /// cpuid); anything else is installed as a scoped thread-local override
-  /// for the run's extent.  Every backend is bit-exact by contract, so
-  /// this changes speed, never results — the differential tests sweep it
-  /// to prove exactly that.
-  kernels::Backend backend = kernels::Backend::Auto;
   bool validate = true;  ///< Validate assignment + schedule (cheap; on by default).
   /// Observability sink for this run's spans/counters (borrowed).  When
   /// nullptr, the process-wide obs::active() sink applies — so installing
@@ -63,17 +55,5 @@ struct RunContext {
 /// Executes one run.  Throws ContractViolation when validation fails.
 RunResult run_once(const TaskGraph& graph, Distributor& distributor,
                    const RunContext& context);
-
-/// Pre-RunContext options struct, kept one release for out-of-tree callers.
-struct RunOptions {
-  SchedulerOptions scheduler;
-  SchedulerCore core = SchedulerCore::Fast;
-  bool validate = true;
-};
-
-/// Forwarding shim for the old (machine, options) signature.
-[[deprecated("use run_once(graph, distributor, RunContext) instead")]]
-RunResult run_once(const TaskGraph& graph, Distributor& distributor,
-                   const Machine& machine, const RunOptions& options = {});
 
 }  // namespace feast

@@ -57,8 +57,6 @@ const char* to_string(Counter counter) noexcept {
     case Counter::ServeDisconnect: return "serve.disconnect";
     case Counter::ExactNode: return "exact.nodes";
     case Counter::ExactPruned: return "exact.pruned";
-    case Counter::KernelScalarRun: return "kernel.scalar_runs";
-    case Counter::KernelAvx2Run: return "kernel.avx2_runs";
     case Counter::ServeWorkerRegister: return "serve.worker.register";
     case Counter::ServeWorkerLease: return "serve.worker.lease";
     case Counter::ServeWorkerResult: return "serve.worker.result";

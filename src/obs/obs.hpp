@@ -84,15 +84,13 @@ enum class Counter : std::uint8_t {
   ServeDisconnect, ///< Serve: client went away before its reply.
   ExactNode,       ///< Exact oracle: search-tree nodes expanded.
   ExactPruned,     ///< Exact oracle: branches cut by bounds or dominance.
-  KernelScalarRun, ///< Fast core: run executed on the scalar kernel backend.
-  KernelAvx2Run,   ///< Fast core: run executed on the AVX2 kernel backend.
   ServeWorkerRegister, ///< Serve: remote worker registered (or re-registered).
   ServeWorkerLease,    ///< Serve: cell leased to a remote worker.
   ServeWorkerResult,   ///< Serve: remote worker result frame accepted.
   ServeWorkerLost,     ///< Serve: remote worker declared lost (heartbeat or
                        ///< lease deadline missed; its cells requeue uncharged).
 };
-inline constexpr std::size_t kCounterCount = 30;
+inline constexpr std::size_t kCounterCount = 28;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "sched/kernels/kernels.hpp"
 
 namespace feast {
 
@@ -26,14 +25,14 @@ void PreparedTopology::build(const TaskGraph& graph, const Machine& machine) {
   succ_offset.assign(n + 1, 0);
   succ_comms.clear();
   comp_ids.clear();
-  items_.assign(n, 0.0);
-  latency.resize(n);
+  latency.assign(n, 0.0);
 
   for (std::uint32_t v = 0; v < n; ++v) {
     const NodeId id(v);
     const Node& node = graph.node(id);
     if (node.kind == NodeKind::Communication) {
-      items_[v] = node.message_items;
+      // Same expression as Machine::transfer_time.
+      latency[v] = node.message_items * machine.time_per_item;
       comm_sink[v] = graph.comm_sink(id).value;
       pred_offset[v + 1] = static_cast<std::uint32_t>(pred_comms.size());
       succ_offset[v + 1] = static_cast<std::uint32_t>(succ_comms.size());
@@ -67,12 +66,6 @@ void PreparedTopology::build(const TaskGraph& graph, const Machine& machine) {
     for (const NodeId comm : node.succs) succ_comms.push_back(comm);
     succ_offset[v + 1] = static_cast<std::uint32_t>(succ_comms.size());
   }
-
-  // latency[c] = message_items[c] × time_per_item: one contiguous pass
-  // through the scale kernel (identical expression to
-  // Machine::transfer_time per element).
-  kernels::active().scale(items_.data(), n, machine.time_per_item,
-                          latency.data());
 
   // The memoized selection order names this topology's node ids; a rebind
   // to a new graph must drop it even when the key images would collide.

@@ -118,8 +118,6 @@ class PreparedTopology {
   std::size_t graph_nodes_ = 0;
   double time_per_item_ = -1.0;
   int n_procs_ = 0;
-
-  std::vector<double> items_;  ///< Message sizes, staged for the scale kernel.
 };
 
 /// Schedules with the optimized core over a prepared topology into a

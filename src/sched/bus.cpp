@@ -2,12 +2,6 @@
 
 namespace feast {
 
-Time BusTimeline::reserve(Time earliest, Time duration) {
-  const Time start = query(earliest, duration);
-  reserve_at(start, duration);
-  return start;
-}
-
 Time BusTimeline::total_busy() const noexcept {
   Time busy = 0.0;
   for (std::size_t i = 0; i < starts_.size(); ++i) busy += ends_[i] - starts_[i];

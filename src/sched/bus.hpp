@@ -10,16 +10,12 @@
 ///
 /// Storage is SoA — parallel `starts[]` / `ends[]` arrays rather than an
 /// array of slot structs — so a gap probe walks one contiguous double
-/// stream per comparison and the kernel backends (sched/kernels) can scan
-/// it four lanes at a time.  The first-fit walk itself is the gap_scan
-/// kernel; see kernels.hpp for the exactness contract that keeps every
-/// backend's answer bit-identical to the naive walk.
+/// stream per comparison.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
-#include "sched/kernels/kernels.hpp"
 #include "util/contracts.hpp"
 #include "util/time_types.hpp"
 
@@ -36,102 +32,60 @@ namespace feast {
 /// front-to-back first-fit walk.
 class BusTimeline {
  public:
-  /// Earliest start >= \p earliest at which \p duration fits, scanning
-  /// with \p ops (the scheduler passes its per-run kernel table so the
-  /// dispatch lookup is not repeated per probe).  A zero duration always
-  /// fits at \p earliest.  Defined inline: the scheduler issues one query
-  /// per candidate processor per placement, and the call dominated its
-  /// profile when out of line.
-  Time query_with(const kernels::KernelOps& ops, Time earliest,
-                  Time duration) const {
+  /// Earliest start >= \p earliest at which \p duration fits.  A zero
+  /// duration always fits at \p earliest.  Defined inline: the scheduler
+  /// issues one query per candidate processor per placement, and the call
+  /// dominated its profile when out of line.
+  Time query(Time earliest, Time duration) const {
     FEAST_REQUIRE(duration >= 0.0);
     if (duration <= 0.0) return earliest;
     const std::size_t n = starts_.size();
     // Tail hint: past the last committed slot every request fits at once.
     if (n == 0 || ends_[n - 1] <= earliest + kTimeEps) return earliest;
-    // Short timelines run the walk inline: the per-processor busy lists of
-    // paper-sized runs hold a handful of slots, and at those lengths the
-    // indirect kernel call costs more than the scan it would accelerate
-    // (measured ~180 gap probes per run, most against 2-5 slot lists).
-    // The loop is character-for-character the scalar kernel's, so the
-    // answer is bit-identical regardless of which path a probe takes.
-    if (n <= 16) {
-      Time candidate = earliest;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (ends_[i] <= candidate + kTimeEps) continue;
-        if (starts_[i] >= candidate + duration - kTimeEps) break;
-        candidate = ends_[i];
-      }
-      return candidate;
-    }
-    // Long timelines (the shared bus) position the scan past the prefix a
-    // query can never interact with.  Only the slot straddling `earliest`
-    // and those after it can collide: slot starts are strictly increasing
-    // and slots are disjoint up to kTimeEps, so every slot before the
-    // predecessor of the first slot starting at or after `earliest` ends
-    // by `earliest + kTimeEps` — the first-fit walk would skip it without
+    // Short timelines (the per-processor busy lists of paper-sized runs
+    // hold a handful of slots) walk from the front.  Long timelines (the
+    // shared bus) position the walk past the prefix a query can never
+    // interact with.  Only the slot straddling `earliest` and those after
+    // it can collide: slot starts are strictly increasing and slots are
+    // disjoint up to kTimeEps, so every slot before the predecessor of the
+    // first slot starting at or after `earliest` ends by
+    // `earliest + kTimeEps` — the first-fit walk would skip it without
     // moving the candidate.  Queries arrive with earliest bounds near the
     // committed tail (producer finishes grow with scheduling progress), so
     // a short backward gallop finds that position without the binary
     // search's data-dependent branches; the search remains the fallback
     // for the rare query landing deep in the prefix.
-    std::size_t from;
-    if (starts_[n - 8] <= earliest) {
-      std::size_t i = n;  // <= 8 steps: starts_[n - 8] <= earliest bounds it
-      while (i > 0 && starts_[i - 1] > earliest) --i;
-      from = i > 0 ? i - 1 : 0;
-    } else {
-      from = static_cast<std::size_t>(
-          std::lower_bound(starts_.begin(), starts_.end(), earliest) -
-          starts_.begin());
-      if (from > 0) --from;
-    }
-    // With few slots left past the position, the walk is again cheaper
-    // inline than through the kernel call (same loop, same answer).
-    if (n - from <= 16) {
-      Time candidate = earliest;
-      for (std::size_t i = from; i < n; ++i) {
-        if (ends_[i] <= candidate + kTimeEps) continue;
-        if (starts_[i] >= candidate + duration - kTimeEps) break;
-        candidate = ends_[i];
+    std::size_t from = 0;
+    if (n > 16) {
+      if (starts_[n - 8] <= earliest) {
+        std::size_t i = n;  // <= 8 steps: starts_[n - 8] <= earliest bounds it
+        while (i > 0 && starts_[i - 1] > earliest) --i;
+        from = i > 0 ? i - 1 : 0;
+      } else {
+        from = static_cast<std::size_t>(
+            std::lower_bound(starts_.begin(), starts_.end(), earliest) -
+            starts_.begin());
+        if (from > 0) --from;
       }
-      return candidate;
     }
-    return ops.gap_scan(starts_.data(), ends_.data(), n, from, earliest,
-                        duration, kTimeEps);
-  }
-
-  /// query_with on the active kernel backend.
-  Time query(Time earliest, Time duration) const {
-    return query_with(kernels::active(), earliest, duration);
+    return gap_walk(from, earliest, duration);
   }
 
   /// The naive front-to-back first-fit walk — the reference semantics the
   /// accelerated query() must reproduce exactly.  Kept (a) for the
   /// reference scheduler core, so differential runs exercise both
   /// implementations against each other on every workload, and (b) as the
-  /// oracle for BusTimeline's own equivalence tests.  Deliberately a plain
-  /// scalar loop, not a kernel call: the reference path must not ride the
-  /// machinery it is the oracle for.
+  /// oracle for BusTimeline's own equivalence tests.  It shares only the
+  /// walk with query(), not the tail hint or the prefix skip.
   Time query_linear(Time earliest, Time duration) const {
     FEAST_REQUIRE(duration >= 0.0);
     if (duration <= 0.0) return earliest;
-    Time candidate = earliest;
-    for (std::size_t i = 0; i < starts_.size(); ++i) {
-      if (ends_[i] <= candidate + kTimeEps) continue;  // gap is past this slot
-      if (starts_[i] >= candidate + duration - kTimeEps) break;  // fits before it
-      candidate = ends_[i];  // collision: try right after this slot
-    }
-    return candidate;
+    return gap_walk(0, earliest, duration);
   }
 
-  /// Commits a slot found by query(); returns its start.  The slot must
-  /// not collide with committed slots (checked).
-  Time reserve(Time earliest, Time duration);
-
-  /// reserve() scanning with \p ops (see query_with).
-  Time reserve_with(const kernels::KernelOps& ops, Time earliest, Time duration) {
-    const Time start = query_with(ops, earliest, duration);
+  /// Commits the first-fit slot query() finds; returns its start.
+  Time reserve(Time earliest, Time duration) {
+    const Time start = query(earliest, duration);
     reserve_at(start, duration);
     return start;
   }
@@ -186,6 +140,19 @@ class BusTimeline {
   }
 
  private:
+  /// The first-fit walk from slot \p from with the given \p candidate
+  /// start: skip slots that end before the candidate, stop at the first
+  /// slot the request fits in front of, otherwise retry right after the
+  /// colliding slot.
+  Time gap_walk(std::size_t from, Time candidate, Time duration) const {
+    for (std::size_t i = from; i < starts_.size(); ++i) {
+      if (ends_[i] <= candidate + kTimeEps) continue;  // gap is past this slot
+      if (starts_[i] >= candidate + duration - kTimeEps) break;  // fits before it
+      candidate = ends_[i];  // collision: try right after this slot
+    }
+    return candidate;
+  }
+
   /// Sorted insert with collision checks (the non-tail path).
   void insert_slot(Time start, Time end) {
     const std::size_t pos = static_cast<std::size_t>(

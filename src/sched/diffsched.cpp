@@ -3,12 +3,10 @@
 #include <array>
 #include <ostream>
 #include <sstream>
-#include <vector>
 
 #include "core/comm_estimator.hpp"
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
-#include "sched/kernels/kernels.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/schedule_validate.hpp"
 #include "sched/trace.hpp"
@@ -131,17 +129,6 @@ DiffSchedResult run_diffsched(const DiffSchedConfig& config, std::ostream* progr
                                    kProcessors.size());
   SchedulerScratch scratch;  // one arena reused across every fast-core run
 
-  // Every kernel backend this build + host can execute: the fast core is
-  // replayed once per backend against the one reference trace, so the
-  // certificate covers every (core × backend) pair the process could ever
-  // dispatch to.  Scalar is always available; AVX2 joins when compiled in
-  // and the host reports it.
-  std::vector<kernels::Backend> backends = {kernels::Backend::Scalar};
-  if (kernels::available(kernels::Backend::Avx2)) {
-    backends.push_back(kernels::Backend::Avx2);
-  }
-  result.backends = static_cast<int>(backends.size());
-
   auto note = [&result](const std::string& text) {
     ++result.mismatches;
     if (result.first_problem.empty()) result.first_problem = text;
@@ -171,35 +158,27 @@ DiffSchedResult run_diffsched(const DiffSchedConfig& config, std::ostream* progr
               }
             }
           }
-          // One reference trace certifies every backend: the fast core is
-          // bit-exact across backends by contract, so each replay must
-          // match the same bytes.
-          for (const kernels::Backend backend : backends) {
-            const kernels::ScopedBackend forced(backend);
-            const Schedule fast =
-                list_schedule(w.graph, w.assignment, w.machine, options, scratch);
-            ++result.schedules;
+          const Schedule fast =
+              list_schedule(w.graph, w.assignment, w.machine, options, scratch);
+          ++result.schedules;
 
-            std::string why;
-            if (!schedule_trace_equal(w.graph, ref, fast, &why)) {
-              std::ostringstream os;
-              os << w.describe << ", " << to_string(release) << "/"
-                 << to_string(selection) << "/" << to_string(processor)
-                 << ", backend=" << kernels::to_string(backend) << " (seed "
-                 << config.seed << "): trace mismatch at " << why;
-              note(os.str());
-            }
-            const ScheduleReport report =
-                validate_schedule(w.graph, w.assignment, w.machine, fast, options);
-            if (!report.ok()) {
-              ++result.invalid;
-              if (result.first_problem.empty()) {
-                result.first_problem =
-                    w.describe + ", " + to_string(release) + "/" +
-                    to_string(selection) + "/" + to_string(processor) +
-                    ", backend=" + kernels::to_string(backend) +
-                    ": fast schedule invalid: " + report.to_string();
-              }
+          std::string why;
+          if (!schedule_trace_equal(w.graph, ref, fast, &why)) {
+            std::ostringstream os;
+            os << w.describe << ", " << to_string(release) << "/"
+               << to_string(selection) << "/" << to_string(processor) << " (seed "
+               << config.seed << "): trace mismatch at " << why;
+            note(os.str());
+          }
+          const ScheduleReport report =
+              validate_schedule(w.graph, w.assignment, w.machine, fast, options);
+          if (!report.ok()) {
+            ++result.invalid;
+            if (result.first_problem.empty()) {
+              result.first_problem = w.describe + ", " + to_string(release) + "/" +
+                                     to_string(selection) + "/" +
+                                     to_string(processor) +
+                                     ": fast schedule invalid: " + report.to_string();
             }
           }
         }
@@ -216,10 +195,9 @@ DiffSchedResult run_diffsched(const DiffSchedConfig& config, std::ostream* progr
 
   if (progress != nullptr) {
     *progress << "diffsched: " << result.trials << " trials x " << result.combos
-              << " policy combos x " << result.backends << " backend(s) ("
-              << result.schedules << " schedules): " << result.mismatches
-              << " trace mismatches, " << result.invalid
-              << " invalid schedules\n";
+              << " policy combos x 2 cores (" << result.schedules
+              << " schedules): " << result.mismatches << " trace mismatches, "
+              << result.invalid << " invalid schedules\n";
     if (!result.first_problem.empty()) {
       *progress << "first problem: " << result.first_problem << "\n";
     }

@@ -4,13 +4,11 @@
 /// Replays randomized workloads — varied graph shapes, locality mixes,
 /// machine sizes, metrics and contention models — through both
 /// list_schedule (optimized) and list_schedule_ref (reference) under every
-/// {ReleasePolicy × SelectionPolicy × ProcessorPolicy} combination, the
-/// optimized core once per available kernel backend (sched/kernels), and
+/// {ReleasePolicy × SelectionPolicy × ProcessorPolicy} combination, and
 /// asserts byte-identical Schedule traces plus validator acceptance of
-/// every (core × backend) pair.  This is the oracle that lets the
-/// optimized core and its SIMD backends evolve freely: any divergence from
-/// the retained §5.3 implementation fails loudly with a reproducible
-/// (seed, trial, combo, backend) coordinate.
+/// both cores.  This is the oracle that lets the optimized core evolve
+/// freely: any divergence from the retained §5.3 implementation fails
+/// loudly with a reproducible (seed, trial, combo) coordinate.
 ///
 /// Shared by the `feastc diffsched` subcommand (CI runs ≥500 trials) and
 /// tests/test_sched_differential.cpp (a quicker slice for ctest).
@@ -33,8 +31,7 @@ struct DiffSchedConfig {
 struct DiffSchedResult {
   int trials = 0;           ///< Workloads replayed.
   int combos = 0;           ///< Policy combinations per workload (12).
-  int backends = 0;         ///< Kernel backends certified per combo.
-  long long schedules = 0;  ///< Total invocations (trials × combos × (1 + backends)).
+  long long schedules = 0;  ///< Total invocations (trials × combos × 2 cores).
   int mismatches = 0;       ///< Trace divergences between the cores.
   int invalid = 0;          ///< Validator rejections (either core).
   std::string first_problem;  ///< Reproducer line for the first failure.

@@ -1,9 +1,6 @@
 #include "sched/lateness.hpp"
 
 #include <algorithm>
-#include <vector>
-
-#include "sched/kernels/kernels.hpp"
 
 namespace feast {
 
@@ -22,30 +19,25 @@ LatenessStats computation_lateness(const TaskGraph& graph,
     stats.max_lateness = 0.0;
     return stats;
   }
-  // Stage finishes and deadlines into packed arrays and run the reduction
-  // on the kernel backend (sched/kernels): elementwise subtraction plus
-  // max / first-argmax / missed-count, bit-exact across backends.  The
-  // mean stays a scalar left-to-right sum — kernel backends must not
-  // reassociate it (see KernelOps::lateness), so it is folded here over
-  // the kernel's elementwise output in the original node order.
-  thread_local std::vector<double> finish, deadline, late;
-  if (finish.size() < n) {
-    finish.resize(n);
-    deadline.resize(n);
-    late.resize(n);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    finish[i] = schedule.placement(comps[i]).finish;
-    deadline[i] = assignment.abs_deadline(comps[i]);
-  }
-  kernels::LatenessReduce reduce;
-  kernels::active().lateness(finish.data(), deadline.data(), n, kTimeEps,
-                             late.data(), &reduce);
+  // One pass in node order: the max keeps the *first* index attaining it
+  // (replaced only when strictly greater), and the mean is a left-to-right
+  // sum, so the statistics do not depend on anything but that order.
+  Time max = lateness_of(assignment, schedule, comps[0]);
+  std::size_t argmax = 0;
+  std::size_t missed = 0;
   Time sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += late[i];
-  stats.max_lateness = reduce.max;
-  stats.argmax = comps[reduce.argmax];
-  stats.missed = static_cast<std::size_t>(reduce.missed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Time late = lateness_of(assignment, schedule, comps[i]);
+    if (late > max) {
+      max = late;
+      argmax = i;
+    }
+    if (late > kTimeEps) ++missed;
+    sum += late;
+  }
+  stats.max_lateness = max;
+  stats.argmax = comps[argmax];
+  stats.missed = missed;
   stats.count = n;
   stats.mean_lateness = sum / static_cast<double>(n);
   return stats;

@@ -16,10 +16,6 @@
 ///    replacing the per-step linear scan;
 ///  - all working memory lives in a SchedulerScratch arena that is rebound,
 ///    not reallocated, between runs;
-///  - the hot loops — ready-bitset scans, timeline gap probes, packed
-///    reductions — run on the pluggable kernel backend (sched/kernels),
-///    resolved once per run; every backend is bit-exact by contract, so
-///    the trace is backend-independent;
 ///  - under the contention-free model the per-processor ready time is
 ///    assembled from one pass over the predecessors (top-two crossing
 ///    arrivals by producer processor + per-processor producer maxima)
@@ -29,13 +25,11 @@
 ///    oracle carry the safety the per-write checks used to.
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "sched/batch.hpp"
 #include "sched/bus.hpp"
-#include "sched/kernels/kernels.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/list_scheduler_detail.hpp"
 
@@ -89,7 +83,6 @@ class FastRun {
         options_(options),
         schedule_(schedule),
         s_(s),
-        k_(kernels::active()),
         n_procs_(static_cast<std::size_t>(machine.n_procs)) {}
 
   void run() {
@@ -134,9 +127,6 @@ class FastRun {
       obs::count_on(sink, obs::Counter::ReadyPush, push_count_);
       obs::count_on(sink, obs::Counter::BusGapProbe, probe_count_);
       obs::count_on(sink, obs::Counter::BusReserve, reserve_count_);
-      obs::count_on(sink, std::strcmp(k_.name, "avx2") == 0
-                              ? obs::Counter::KernelAvx2Run
-                              : obs::Counter::KernelScalarRun);
     }
   }
 
@@ -288,26 +278,14 @@ class FastRun {
   }
 
   NodeId ready_pop() {
-    // Lowest set rank = the contract's selection minimum.  At paper sizes
-    // the rank bitset spans two or three words, where the indirect kernel
-    // call costs more than the scan itself — run the scalar walk inline
-    // (the caller guarantees a set bit exists) and dispatch the first_set
-    // kernel only when the bitset is long enough for wide scanning to pay
-    // (the AVX2 backend skips four empty words per step).
-    const std::uint64_t* const words = s_.ready_words.data();
-    const std::size_t n_words = s_.ready_words.size();
-    std::size_t bit;
-    if (n_words == 1) {
-      bit = static_cast<std::size_t>(std::countr_zero(words[0]));
-    } else if (n_words <= 4) {
-      std::size_t w = 0;
-      while (words[w] == 0) ++w;
-      bit = (w << 6) + static_cast<std::size_t>(std::countr_zero(words[w]));
-    } else {
-      bit = k_.first_set(words, n_words);
-    }
-    const std::uint64_t word = s_.ready_words[bit >> 6];
-    s_.ready_words[bit >> 6] = word & (word - 1);
+    // Lowest set rank = the contract's selection minimum.  The caller
+    // guarantees a set bit exists (ready_count_ > 0).
+    std::uint64_t* const words = s_.ready_words.data();
+    std::size_t w = 0;
+    while (words[w] == 0) ++w;
+    const std::size_t bit =
+        (w << 6) + static_cast<std::size_t>(std::countr_zero(words[w]));
+    words[w] &= words[w] - 1;
     --ready_count_;
     return order_[bit];
   }
@@ -329,7 +307,7 @@ class FastRun {
   Time proc_fit(std::size_t proc, Time ready, Time duration) {
     if (options_.processor_policy == ProcessorPolicy::GapSearch) {
       ++probe_count_;
-      return s_.procs[proc].query_with(k_, ready, duration);
+      return s_.procs[proc].query(ready, duration);
     }
     return std::max(s_.proc_tail[proc], ready);
   }
@@ -384,8 +362,7 @@ class FastRun {
         Time arrival = m.finish;
         if (pp != proc) {
           ++probe_count_;
-          arrival =
-              link_between(pp, proc).query_with(k_, m.finish, m.latency) + m.latency;
+          arrival = link_between(pp, proc).query(m.finish, m.latency) + m.latency;
         }
         ready = std::max(ready, arrival);
       }
@@ -434,7 +411,7 @@ class FastRun {
       Time crossing = produced + m.latency;
       if (shared_bus) {
         ++probe_count_;
-        m.depart = s_.bus.query_with(k_, produced, m.latency);
+        m.depart = s_.bus.query(produced, m.latency);
         crossing = m.depart + m.latency;
       }
       top1 = crossing;
@@ -450,7 +427,7 @@ class FastRun {
           // Cache the query for commit: until the first reservation of this
           // placement the bus is unchanged, so the first crossing transfer
           // committed reuses this answer instead of re-running the scan.
-          m.depart = s_.bus.query_with(k_, produced, m.latency);
+          m.depart = s_.bus.query(produced, m.latency);
           crossing = m.depart + m.latency;
         }
         const std::uint32_t p = m.proc;
@@ -611,7 +588,7 @@ class FastRun {
           if (depart_cache_valid_) {
             // First reservation of this placement: the bus is exactly as
             // choose_proc saw it, so its cached query answer is the query
-            // reserve_with would re-run.  Any reservation invalidates the
+            // reserve would re-run.  Any reservation invalidates the
             // remaining cached departs (the bus changed under them).
             depart = m.depart;
             s_.bus.reserve_at(depart, latency);
@@ -623,13 +600,13 @@ class FastRun {
             // already walked.  The earliest feasible start at or past the
             // bound is the same slot boundary either way, so the depart
             // is bit-identical to a scan from the bare finish.
-            depart = s_.bus.reserve_with(
-                k_, departs_lb_valid_ ? m.depart : produced, latency);
+            depart =
+                s_.bus.reserve(departs_lb_valid_ ? m.depart : produced, latency);
           }
           ++reserve_count_;
           break;
         case CommContention::PointToPointLinks:
-          depart = link_between(pp, proc).reserve_with(k_, produced, latency);
+          depart = link_between(pp, proc).reserve(produced, latency);
           ++reserve_count_;
           break;
         case CommContention::ContentionFree:
@@ -698,7 +675,6 @@ class FastRun {
   const SchedulerOptions options_;
   Schedule& schedule_;
   SchedulerScratch& s_;
-  const kernels::KernelOps& k_;  ///< Kernel backend, resolved once per run.
   const std::size_t n_procs_;
   // Selection order for this run: the topology's memoized (or freshly
   // sorted) permutation, bound by prepare().

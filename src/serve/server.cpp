@@ -25,7 +25,6 @@
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "sched/kernels/kernels.hpp"
 #include "supervise/supervisor.hpp"
 #include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
@@ -1209,13 +1208,6 @@ struct Server::Impl {
     out += ", \"clients\": " + std::to_string(queues.size());
     out += ", \"running\": " + std::to_string(pool ? pool->running() : 0);
     out += ", \"connections\": " + std::to_string(conns.size());
-    // Which kernel backend this daemon's scheduler runs dispatch to —
-    // bit-exact across backends by contract, reported so operators can
-    // tell a scalar-fallback host from an AVX2 one when comparing
-    // throughput between daemons.
-    out += ", \"kernel_backend\": \"";
-    out += kernels::to_string(kernels::active_backend());
-    out += "\"";
     out += ", \"draining\": ";
     out += draining ? "true" : "false";
     out += ", \"workers_lost\": " + std::to_string(snapshot.workers_lost);

@@ -284,6 +284,29 @@ TEST(CampaignSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse("not a key value line\n"), std::invalid_argument);
 }
 
+TEST(CampaignSpec, BackendKeyAcceptsOnlyAutoAsANoOp) {
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return CampaignSpec::parse(in);
+  };
+  const std::string body = "samples = 4\nstrategies = pure\nsizes = 2\n";
+  for (const std::string forced : {"scalar", "avx2", "sse9"}) {
+    try {
+      (void)parse("backend = " + forced + "\n" + body);
+      ADD_FAILURE() << "backend = " << forced << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("removed"), std::string::npos)
+          << error.what();
+    }
+  }
+  // `auto` keeps old spec files working: same canonical text, so the same
+  // manifest spec hash, as a spec that never mentioned the key.
+  const std::string with_auto = parse("backend = auto\n" + body).canonical_text();
+  const std::string without = parse(body).canonical_text();
+  EXPECT_EQ(with_auto, without);
+  EXPECT_EQ(hash_hex(fnv1a64(with_auto)), hash_hex(fnv1a64(without)));
+}
+
 TEST(ParseStrategySpec, CanonicalLabels) {
   EXPECT_EQ(parse_strategy_spec("pure").label, "PURE+CCNE");
   EXPECT_EQ(parse_strategy_spec("pure:ccaa").label, "PURE+CCAA");
