@@ -7,6 +7,8 @@
 
 #include "sched/bus.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
+#include "util/time_types.hpp"
 
 namespace feast {
 namespace {
@@ -126,6 +128,121 @@ TEST(BusTimeline, AcceleratedPathsMatchLinearOracle) {
   // The stream must have pushed the timeline past the small-list linear
   // path, or the binary-search branch went untested.
   EXPECT_GT(fast.size(), 16u);
+}
+
+/// The first-fit walk written out locally, from slot 0, so query() and
+/// query_linear() are both checked against independent text.
+Time naive_gap(const BusTimeline& bus, Time candidate, Time duration) {
+  if (duration <= 0.0) return candidate;
+  for (std::size_t i = 0; i < bus.size(); ++i) {
+    if (bus.ends()[i] <= candidate + kTimeEps) continue;
+    if (bus.starts()[i] >= candidate + duration - kTimeEps) break;
+    candidate = bus.ends()[i];
+  }
+  return candidate;
+}
+
+TEST(BusTimeline, GapScanSingleSlotAndEpsBoundaries) {
+  BusTimeline bus;
+  bus.reserve_at(10.0, 10.0);  // [10, 20]
+  // Fits before the slot exactly (start boundary within eps).
+  EXPECT_EQ(bus.query(0.0, 10.0 + kTimeEps), 0.0);
+  EXPECT_EQ(bus.query_linear(0.0, 10.0 + kTimeEps), 0.0);
+  // Collides: pushed to the slot end.
+  EXPECT_EQ(bus.query(5.0, 6.0), 20.0);
+  EXPECT_EQ(bus.query_linear(5.0, 6.0), 20.0);
+  // Candidate already past the slot end (within eps): slot skipped.
+  EXPECT_EQ(bus.query(20.0 - kTimeEps, 100.0), 20.0 - kTimeEps);
+  EXPECT_EQ(bus.query_linear(20.0 - kTimeEps, 100.0), 20.0 - kTimeEps);
+}
+
+TEST(BusTimeline, GapScanDenseChainsPushThroughEverySlot) {
+  // Back-to-back slots: a request that fits in no gap must cascade to the
+  // tail, through the short front walk and, past 16 slots, the positioned
+  // walk alike.
+  for (std::size_t n = 1; n <= 40; ++n) {
+    BusTimeline bus;
+    for (std::size_t i = 0; i < n; ++i) {
+      bus.reserve_at(static_cast<Time>(i) * 10.0, 10.0);
+    }
+    ASSERT_EQ(bus.size(), n);
+    const Time tail = static_cast<Time>(n) * 10.0;
+    EXPECT_EQ(naive_gap(bus, 0.0, 5.0), tail);
+    EXPECT_EQ(bus.query(0.0, 5.0), tail) << "n=" << n;
+    EXPECT_EQ(bus.query_linear(0.0, 5.0), tail) << "n=" << n;
+    // From the middle of the chain the cascade starts at the straddling slot.
+    const Time mid = static_cast<Time>(n / 2) * 10.0 + 3.0;
+    EXPECT_EQ(bus.query(mid, 5.0), tail) << "n=" << n;
+  }
+}
+
+TEST(BusTimeline, GapScanFuzzAgainstNaiveWalk) {
+  Pcg32 rng(303);
+  for (int round = 0; round < 4000; ++round) {
+    const int n = rng.uniform_int(1, 40);
+    BusTimeline bus;
+    Time t = rng.uniform_real(0.0, 5.0);
+    for (int i = 0; i < n; ++i) {
+      // Mostly dense (zero-width inter-slot gaps), sometimes roomy — the
+      // dense case makes the walk chain through many slots.
+      t += rng.uniform_int(0, 2) == 0 ? rng.uniform_real(0.0, 8.0) : 0.0;
+      const Time width = rng.uniform_real(0.1, 6.0);
+      bus.reserve_at(t, width);
+      t += width;
+    }
+    const Time earliest = rng.uniform_real(-2.0, t + 4.0);
+    const Time duration = rng.uniform_real(0.05, 9.0);
+    const Time expected = naive_gap(bus, earliest, duration);
+    ASSERT_EQ(bus.query(earliest, duration), expected) << "round=" << round;
+    ASSERT_EQ(bus.query_linear(earliest, duration), expected) << "round=" << round;
+  }
+}
+
+TEST(BusTimeline, LongTimelineQueriesDeepInThePrefix) {
+  // 41 unit slots on even starts [2k, 2k+1], with one wide hole at
+  // [21, 30): earliest bounds far from the tail take the binary-search
+  // positioning, near ones the backward gallop; both must land where the
+  // front-to-back walk does.
+  BusTimeline bus;
+  for (int k = 0; k < 45; ++k) {
+    if (k >= 11 && k <= 14) continue;
+    bus.reserve_at(2.0 * k, 1.0);
+  }
+  ASSERT_GT(bus.size(), 16u);
+  EXPECT_EQ(bus.query(0.0, 1.0), 1.0);     // first unit gap
+  EXPECT_EQ(bus.query(0.5, 1.0), 1.0);     // straddles slot 0
+  EXPECT_EQ(bus.query(0.0, 1.5), 21.0);    // first gap wide enough: the hole
+  EXPECT_EQ(bus.query(22.0, 8.0), 22.0);   // inside the hole
+  EXPECT_EQ(bus.query(22.5, 8.0), 89.0);   // overruns the hole; no later gap fits
+  EXPECT_EQ(bus.query(80.2, 1.0), 81.0);   // near the tail
+  EXPECT_EQ(bus.query(87.0, 3.0), 89.0);   // collides with the last slot
+  for (Time earliest = -1.0; earliest < 92.0; earliest += 0.25) {
+    for (const Time duration : {0.5, 1.0, 1.5, 9.0}) {
+      ASSERT_EQ(bus.query(earliest, duration), naive_gap(bus, earliest, duration))
+          << "earliest=" << earliest << " duration=" << duration;
+    }
+  }
+}
+
+TEST(BusTimeline, ReserveCommitsTheFirstFitStart) {
+  // reserve() commits exactly what query() answered, on short and long
+  // timelines, filling holes front to back.
+  for (const int n : {3, 30}) {
+    BusTimeline bus;
+    for (int k = 0; k < n; ++k) bus.reserve_at(4.0 * k, 2.0);  // holes of 2
+    for (int k = 0; k < n - 1; ++k) {
+      const Time expected = bus.query(0.0, 2.0);
+      EXPECT_EQ(expected, 4.0 * k + 2.0) << "n=" << n;
+      EXPECT_EQ(bus.reserve(0.0, 2.0), expected) << "n=" << n;
+    }
+    // Every hole is now filled: the timeline is one dense chain.
+    ASSERT_EQ(bus.size(), static_cast<std::size_t>(2 * n - 1));
+    for (std::size_t i = 1; i < bus.size(); ++i) {
+      EXPECT_EQ(bus.starts()[i], bus.ends()[i - 1]);
+    }
+    EXPECT_EQ(bus.reserve(0.0, 2.0), 4.0 * (n - 1) + 2.0);
+    EXPECT_EQ(bus.total_busy(), 4.0 * n);
+  }
 }
 
 }  // namespace

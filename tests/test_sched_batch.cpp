@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "check/prop.hpp"
@@ -87,6 +88,73 @@ SeededBatch make_batch(std::size_t count, std::uint64_t seed) {
     batch.assignment_ptrs.push_back(&batch.assignments[i]);
   }
   return batch;
+}
+
+/// A chain of subtasks joined by messages of the given sizes.
+TaskGraph message_chain(const std::vector<double>& items) {
+  TaskGraph graph;
+  NodeId prev = graph.add_subtask("s0", 1.0);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const NodeId next = graph.add_subtask("s" + std::to_string(i + 1), 1.0);
+    graph.add_precedence(prev, next, items[i]);
+    prev = next;
+  }
+  return graph;
+}
+
+/// Every comm slot's latency is exactly Machine::transfer_time of its
+/// message; computation slots carry none.
+void expect_latencies_exact(const TaskGraph& graph, const PreparedTopology& topology,
+                            const Machine& machine) {
+  ASSERT_EQ(topology.latency.size(), graph.node_count());
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    const Node& node = graph.node(NodeId(v));
+    const Time expected = node.kind == NodeKind::Communication
+                              ? machine.transfer_time(node.message_items)
+                              : 0.0;
+    EXPECT_EQ(topology.latency[v], expected)
+        << "node " << v << " rate " << machine.time_per_item;
+  }
+}
+
+TEST(SchedBatch, LatencyIsExactTransferTimeAtExtremes) {
+  // Message sizes at every chain length up to 13, with zero and extreme
+  // magnitudes mixed in: each product must be one IEEE multiply.
+  Pcg32 rng(404);
+  for (std::size_t n = 1; n <= 13; ++n) {
+    std::vector<double> items(n);
+    for (std::size_t i = 0; i < n; ++i) items[i] = rng.uniform_real(0.0, 1e12);
+    items[0] = 0.0;
+    if (n > 1) items[1] = 1e300;
+    const TaskGraph graph = message_chain(items);
+    Machine machine;
+    machine.n_procs = 2;
+    machine.time_per_item = 3.7e-3;
+    PreparedTopology topology;
+    topology.build(graph, machine);
+    expect_latencies_exact(graph, topology, machine);
+  }
+}
+
+TEST(SchedBatch, RebuildForNewRateRewritesEveryLatency) {
+  // A topology rebound to the same graph at another bus rate, and then to a
+  // smaller graph, must not keep any latency from the earlier build.
+  const TaskGraph big = message_chain({4.0, 0.5, 7.0, 1e6, 3.0});
+  const TaskGraph small = message_chain({9.0});
+  PreparedTopology topology;
+  Machine machine;
+  machine.n_procs = 3;
+  for (const double rate : {1.0, 2.5, 0.0, 1e-9}) {
+    machine.time_per_item = rate;
+    topology.build(big, machine);
+    EXPECT_TRUE(topology.matches(big, machine));
+    expect_latencies_exact(big, topology, machine);
+  }
+  machine.time_per_item = 0.25;
+  topology.build(small, machine);
+  EXPECT_TRUE(topology.matches(small, machine));
+  EXPECT_FALSE(topology.matches(big, machine));
+  expect_latencies_exact(small, topology, machine);
 }
 
 TEST(SchedBatch, BatchOfSeededGraphsMatchesSequentialRuns) {
