@@ -738,13 +738,40 @@ std::size_t restore_finished_cells(const std::string& manifest_path,
   return restored;
 }
 
-CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& options) {
+CampaignResult plan_campaign(const CampaignSpec& spec, const CampaignOptions& options,
+                             std::vector<Strategy>& strategies,
+                             std::vector<PlannedCell>& plan) {
   if (spec.strategies.empty()) throw std::invalid_argument("campaign: no strategies");
   if (spec.sizes.empty()) throw std::invalid_argument("campaign: no sizes");
   if (spec.batch.samples < 1) throw std::invalid_argument("campaign: samples < 1");
   for (const int n : spec.sizes) {
     if (n < 1) throw std::invalid_argument("campaign: sizes must be positive");
   }
+  strategies.clear();
+  for (const std::string& s : spec.strategies) {
+    strategies.push_back(parse_strategy_spec(s));
+  }
+
+  CampaignResult result;
+  result.name = spec.name;
+  result.spec_hash_hex = hash_hex(fnv1a64(spec.canonical_text()));
+  result.samples = spec.batch.samples;
+  plan = plan_cells(spec, strategies);
+  result.cells = plan_outcomes(spec, strategies, plan);
+
+  // Resume: restore the cells an earlier (interrupted) run of this exact
+  // spec already finished.  A missing, torn or foreign manifest simply means
+  // nothing is restored — the cache still absorbs most of the rework.
+  if (options.resume) {
+    restore_finished_cells(options.manifest_path, result.spec_hash_hex, result.cells);
+  }
+  return result;
+}
+
+CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& options) {
+  std::vector<Strategy> strategies;
+  std::vector<PlannedCell> plan;
+  CampaignResult result = plan_campaign(spec, options, strategies, plan);
 
   // Arm an attached fault plan process-wide for the campaign's duration: the
   // injection sites (pool workers, cache I/O, the checkpoint writer above)
@@ -759,27 +786,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
     // main thread is not a pool worker) so --threads actually bounds the
     // campaign's concurrency.
     WorkStealingPool::global().resize(options.threads);
-  }
-
-  std::vector<Strategy> strategies;
-  strategies.reserve(spec.strategies.size());
-  for (const std::string& s : spec.strategies) strategies.push_back(parse_strategy_spec(s));
-
-  const std::string spec_text = spec.canonical_text();
-
-  CampaignResult result;
-  result.name = spec.name;
-  result.spec_hash_hex = hash_hex(fnv1a64(spec_text));
-  result.samples = spec.batch.samples;
-
-  const std::vector<PlannedCell> plan = plan_cells(spec, strategies);
-  result.cells = plan_outcomes(spec, strategies, plan);
-
-  // Resume: restore the cells an earlier (interrupted) run of this exact
-  // spec already finished.  A missing, torn or foreign manifest simply means
-  // nothing is restored — the cache still absorbs most of the rework.
-  if (options.resume) {
-    restore_finished_cells(options.manifest_path, result.spec_hash_hex, result.cells);
   }
 
   const auto start = std::chrono::steady_clock::now();

@@ -198,6 +198,15 @@ void refresh_campaign_totals(CampaignResult& result, double wall_ms);
 void checkpoint_manifest_file(const std::string& path, const CampaignSpec& spec,
                               const CampaignResult& result);
 
+/// The opening both runners share: validates \p spec, parses its strategies
+/// into \p strategies, plans its cells into \p plan and returns the fresh
+/// result, with the cells of an earlier run restored from
+/// options.manifest_path when options.resume.  Throws std::invalid_argument
+/// for malformed specs.
+CampaignResult plan_campaign(const CampaignSpec& spec, const CampaignOptions& options,
+                             std::vector<Strategy>& strategies,
+                             std::vector<PlannedCell>& plan);
+
 /// Serializes a manifest (JSON, schema in docs/CAMPAIGN.md).
 void write_manifest(std::ostream& out, const CampaignSpec& spec,
                     const CampaignResult& result);

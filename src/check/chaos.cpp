@@ -5,14 +5,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <ostream>
 #include <thread>
 #include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
-#include "check/gen.hpp"
+#include "check/trial.hpp"
 #include "serve/server.hpp"
 #include "supervise/subprocess.hpp"
 #include "util/rng.hpp"
@@ -23,13 +22,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
-
-std::string self_exe_path() {
-  std::error_code ec;
-  const fs::path exe = fs::read_symlink("/proc/self/exe", ec);
-  if (ec) return {};
-  return exe.string();
-}
 
 double elapsed_s(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
@@ -121,55 +113,18 @@ WorkerProc spawn_worker(const std::string& feastc, const fs::path& dir,
   return worker;
 }
 
-ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
-                     int index) {
-  ChaosTrial trial;
-  trial.seed = seed_for(options.seed, {static_cast<std::uint64_t>(index)});
-  Pcg32 rng(trial.seed);
-
-  const CampaignSpec spec = gen_campaign_spec(rng);
-  trial.cells = spec.cell_count();
+void run_trial(const ChaosOptions& options, ChaosTrial& trial, Pcg32& rng,
+               const CampaignSpec& spec, const std::string& feastc, int index) {
   const TrialFamily family = family_for(index, rng);
   trial.family = family.name;
   trial.fault_spec = family.fault_spec;
 
-  const fs::path dir =
-      fs::path(options.work_dir) / ("trial-" + std::to_string(index));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir);
-
-  const fs::path spec_path = dir / "campaign.spec";
-  {
-    std::ofstream out(spec_path);
-    if (!out) {
-      trial.error = "cannot write " + spec_path.string();
-      return trial;
-    }
-    out << spec.canonical_text();
-  }
-
   const double timeout_s = options.subprocess_timeout_s;
-  std::string spawn_error;
-
-  // Baseline: the plain in-process runner, fresh cache.  Its fingerprint is
-  // the ground truth every networked run must reproduce byte-for-byte.
-  const fs::path baseline_manifest = dir / "baseline.manifest.json";
-  supervise::SubprocessOptions base_sub;
-  base_sub.stdout_path = (dir / "baseline.log").string();
-  base_sub.stderr_path = "+stdout";
-  const supervise::ExitStatus baseline = supervise::run_command(
-      {feastc, "campaign", "run", spec_path.string(), "--manifest",
-       baseline_manifest.string(), "--cache-dir", (dir / "cache-base").string(),
-       "--threads", "2", "--quiet"},
-      base_sub, timeout_s, &spawn_error);
-  if (!baseline.success()) {
-    trial.error = "baseline run: " +
-                  (baseline.kind == supervise::ExitStatus::Kind::None
-                       ? spawn_error
-                       : baseline.describe());
-    return trial;
-  }
+  detail::TrialDir trial_dir;
+  trial.error = detail::prepare_trial(options.work_dir, index, spec, feastc,
+                                      timeout_s, trial_dir);
+  if (!trial.error.empty()) return;
+  const fs::path& dir = trial_dir.dir;
 
   // The remote-only daemon, in-process over a real loopback socket.  Tight
   // failure-detection knobs so worker deaths surface within the trial.
@@ -191,7 +146,7 @@ ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
     server.start();
   } catch (const std::exception& e) {
     trial.error = std::string("daemon start: ") + e.what();
-    return trial;
+    return;
   }
   const std::uint16_t port = server.port();
   std::thread server_thread([&server] { server.run(); });
@@ -216,17 +171,15 @@ ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
   } catch (const std::exception& e) {
     trial.error = std::string("worker spawn: ") + e.what();
     teardown(workers);
-    return trial;
+    return;
   }
   ++generation;
 
   std::vector<std::string> submit_argv = {
-      feastc,     "submit",
-      spec_path.string(), "--server",
-      "127.0.0.1:" + std::to_string(port), "--client",
-      "chaos",    "--timeout",
-      "240",      "--retries",
-      "8"};
+      feastc,     "submit",     trial_dir.spec_path.string(),
+      "--server", "127.0.0.1:" + std::to_string(port),
+      "--client", "chaos",      "--timeout",
+      "240",      "--retries",  "8"};
   if (family.poison) {
     submit_argv.emplace_back("--inject");
     submit_argv.emplace_back("0:worker-die");
@@ -240,7 +193,7 @@ ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
   } catch (const std::exception& e) {
     trial.error = std::string("submit spawn: ") + e.what();
     teardown(workers);
-    return trial;
+    return;
   }
 
   // Drive the run: watch the submit, kill worker 0 when the family says so,
@@ -256,7 +209,7 @@ ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
                     " s (family " + family.name + ", logs in " + dir.string() +
                     ")";
       teardown(workers);
-      return trial;
+      return;
     }
     if (family.kill_worker && !killed && elapsed_s(started) > 0.5) {
       workers[0].proc.send_signal(SIGKILL);
@@ -292,76 +245,45 @@ ChaosTrial run_trial(const ChaosOptions& options, const std::string& feastc,
                       std::to_string(trial.quarantined) + " submit exit " +
                       std::to_string(trial.submit_exit) +
                       " (want >=1 and exit 3; logs in " + dir.string() + ")";
-        return trial;
+        return;
       }
     } else {
       if (trial.submit_exit != 0) {
         trial.error = "submit exited " + std::to_string(trial.submit_exit) +
                       " (family " + family.name + ", logs in " + dir.string() +
                       ")";
-        return trial;
+        return;
       }
-      const std::string expected =
-          manifest_fingerprint(read_manifest_file(baseline_manifest.string()));
-      trial.match = manifest_fingerprint(manifest) == expected;
+      trial.match = detail::matches_baseline(trial_dir, manifest);
       if (!trial.match) {
         trial.error = "distributed results differ from the baseline (family " +
                       family.name + ", manifests in " + dir.string() + ")";
-        return trial;
       }
     }
   } catch (const std::exception& e) {
     trial.error = std::string("manifest comparison failed: ") + e.what();
-    return trial;
   }
-
-  if (!options.keep_work_dir) fs::remove_all(dir, ec);
-  return trial;
 }
 
 }  // namespace
 
 ChaosResult run_chaos(const ChaosOptions& options) {
-  const std::string feastc =
-      !options.feastc_path.empty() ? options.feastc_path : self_exe_path();
   ChaosResult result;
-  if (feastc.empty()) {
-    ChaosTrial trial;
-    trial.error =
-        "cannot resolve the feastc binary (pass ChaosOptions::feastc_path)";
-    result.trials.push_back(std::move(trial));
-    return result;
-  }
   if (options.workers < 1) {
     ChaosTrial trial;
     trial.error = "chaos: workers < 1";
     result.trials.push_back(std::move(trial));
     return result;
   }
-
-  std::error_code ec;
-  fs::create_directories(options.work_dir, ec);
-
-  for (int t = 0; t < options.trials; ++t) {
-    ChaosTrial trial = run_trial(options, feastc, t);
-    if (options.log != nullptr) {
-      *options.log << "trial " << (t + 1) << "/" << options.trials << " seed "
-                   << trial.seed << " cells " << trial.cells << " family "
-                   << trial.family
-                   << (trial.fault_spec.empty() ? ""
-                                                : " fault " + trial.fault_spec)
-                   << (trial.workers_respawned > 0
-                           ? " respawned " +
-                                 std::to_string(trial.workers_respawned)
-                           : "")
-                   << ": " << (trial.ok() ? "ok" : trial.error) << std::endl;
-    }
-    result.trials.push_back(std::move(trial));
-  }
-
-  if (result.ok() && !options.keep_work_dir) {
-    fs::remove_all(options.work_dir, ec);
-  }
+  result.trials = detail::run_trials<ChaosTrial>(
+      options, run_trial,
+      [](const ChaosTrial& trial) {
+        return " family " + trial.family +
+               (trial.fault_spec.empty() ? "" : " fault " + trial.fault_spec) +
+               (trial.workers_respawned > 0
+                    ? " respawned " + std::to_string(trial.workers_respawned)
+                    : "");
+      });
   return result;
 }
 

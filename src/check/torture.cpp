@@ -1,15 +1,10 @@
 #include "check/torture.hpp"
 
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <ostream>
-#include <sstream>
 
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
-#include "check/gen.hpp"
-#include "supervise/subprocess.hpp"
+#include "check/trial.hpp"
 #include "util/rng.hpp"
 
 namespace feast::check {
@@ -17,26 +12,6 @@ namespace feast::check {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string self_exe_path() {
-  std::error_code ec;
-  const fs::path exe = fs::read_symlink("/proc/self/exe", ec);
-  if (ec) return {};
-  return exe.string();
-}
-
-/// Runs one feastc subprocess (argv, no shell), stdout+stderr into
-/// \p log_path, under a defensive wall-clock deadline.  The decoded status
-/// distinguishes normal exits from signal kills — a worker that died on
-/// SIGSEGV reports as "signal 11 (SIGSEGV)", never as a bogus exit code.
-supervise::ExitStatus run_feastc(const std::vector<std::string>& argv,
-                                 const std::string& log_path, double timeout_s,
-                                 std::string* error) {
-  supervise::SubprocessOptions options;
-  options.stdout_path = log_path;
-  options.stderr_path = "+stdout";
-  return supervise::run_command(argv, options, timeout_s, error);
-}
 
 /// The fault armed for one trial family over a campaign of \p cells cells,
 /// and whether the faulted+resumed runs go through the supervised runner
@@ -88,62 +63,23 @@ TrialFault fault_for(int family, std::size_t cells, Pcg32& rng) {
   }
 }
 
-TortureTrial run_trial(const TortureOptions& options, const std::string& feastc,
-                       int index) {
-  TortureTrial trial;
-  trial.seed = seed_for(options.seed, {static_cast<std::uint64_t>(index)});
-  Pcg32 rng(trial.seed);
-
-  const CampaignSpec spec = gen_campaign_spec(rng);
-  trial.cells = spec.cell_count();
+void run_trial(const TortureOptions& options, TortureTrial& trial, Pcg32& rng,
+               const CampaignSpec& spec, const std::string& feastc, int index) {
   const TrialFault fault = fault_for(index, trial.cells, rng);
   trial.fault_spec = fault.spec;
   trial.supervised = fault.supervised;
 
-  const fs::path dir = fs::path(options.work_dir) / ("trial-" + std::to_string(index));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir);
-
-  const fs::path spec_path = dir / "campaign.spec";
-  {
-    std::ofstream out(spec_path);
-    if (!out) {
-      trial.error = "cannot write " + spec_path.string();
-      return trial;
-    }
-    out << spec.canonical_text();
-  }
-
-  const fs::path baseline_manifest = dir / "baseline.manifest.json";
-  const fs::path torture_manifest = dir / "torture.manifest.json";
   const double timeout_s = options.subprocess_timeout_s;
-  std::string spawn_error;
+  detail::TrialDir dir;
+  trial.error =
+      detail::prepare_trial(options.work_dir, index, spec, feastc, timeout_s, dir);
+  if (!trial.error.empty()) return;
 
-  // Baseline: always the plain in-process runner, so a supervised trial's
-  // fingerprint match also proves supervised == unsupervised results.
-  const std::vector<std::string> baseline_argv = {
-      feastc,       "campaign",
-      "run",        spec_path.string(),
-      "--manifest", baseline_manifest.string(),
-      "--cache-dir", (dir / "cache-base").string(),
-      "--threads",  "2",
-      "--quiet"};
-  const supervise::ExitStatus baseline =
-      run_feastc(baseline_argv, (dir / "baseline.log").string(), timeout_s,
-                 &spawn_error);
-  if (!baseline.success()) {
-    trial.error = "baseline run: " +
-                  (baseline.kind == supervise::ExitStatus::Kind::None
-                       ? spawn_error
-                       : baseline.describe());
-    return trial;
-  }
-
+  const fs::path torture_manifest = dir.dir / "torture.manifest.json";
   std::vector<std::string> torture_args = {
-      spec_path.string(), "--manifest",  torture_manifest.string(),
-      "--cache-dir",      (dir / "cache").string(),
-      "--threads",        "2",
+      dir.spec_path.string(), "--manifest",  torture_manifest.string(),
+      "--cache-dir",          (dir.dir / "cache").string(),
+      "--threads",            "2",
       "--quiet"};
   if (fault.supervised) {
     torture_args.emplace_back("--isolate=process");
@@ -155,82 +91,47 @@ TortureTrial run_trial(const TortureOptions& options, const std::string& feastc,
   faulted_argv.insert(faulted_argv.end(), torture_args.begin(), torture_args.end());
   faulted_argv.emplace_back("--faults");
   faulted_argv.push_back(trial.fault_spec);
-  const supervise::ExitStatus faulted = run_feastc(
-      faulted_argv, (dir / "faulted.log").string(), timeout_s, &spawn_error);
+  std::string outcome;
+  const supervise::ExitStatus faulted = detail::run_feastc(
+      faulted_argv, dir.dir / "faulted.log", timeout_s, outcome);
   trial.killed = faulted.exited(kFaultExitCode) && !faulted.timed_out;
   if (!trial.killed) {
-    trial.error = "faulted run finished with " +
-                  (faulted.kind == supervise::ExitStatus::Kind::None
-                       ? spawn_error
-                       : faulted.describe()) +
+    trial.error = "faulted run finished with " + outcome +
                   " instead of dying with exit " + std::to_string(kFaultExitCode) +
                   " (fault " + trial.fault_spec + ")";
-    return trial;
+    return;
   }
 
   std::vector<std::string> resumed_argv = {feastc, "campaign", "resume"};
   resumed_argv.insert(resumed_argv.end(), torture_args.begin(), torture_args.end());
-  const supervise::ExitStatus resumed = run_feastc(
-      resumed_argv, (dir / "resumed.log").string(), timeout_s, &spawn_error);
-  if (!resumed.success()) {
-    trial.error = "resumed run: " +
-                  (resumed.kind == supervise::ExitStatus::Kind::None
-                       ? spawn_error
-                       : resumed.describe());
-    return trial;
+  if (!detail::run_feastc(resumed_argv, dir.dir / "resumed.log", timeout_s, outcome)
+           .success()) {
+    trial.error = "resumed run: " + outcome;
+    return;
   }
 
   try {
-    const std::string expected =
-        manifest_fingerprint(read_manifest_file(baseline_manifest.string()));
-    const std::string actual =
-        manifest_fingerprint(read_manifest_file(torture_manifest.string()));
-    trial.match = actual == expected;
+    trial.match = detail::matches_baseline(
+        dir, read_manifest_file(torture_manifest.string()));
     if (!trial.match) {
       trial.error = "resumed results differ from the uninterrupted run (fault " +
-                    trial.fault_spec + ", manifests in " + dir.string() + ")";
-      return trial;
+                    trial.fault_spec + ", manifests in " + dir.dir.string() + ")";
     }
   } catch (const std::exception& e) {
     trial.error = std::string("manifest comparison failed: ") + e.what();
-    return trial;
   }
-
-  if (!options.keep_work_dir) fs::remove_all(dir, ec);
-  return trial;
 }
 
 }  // namespace
 
 TortureResult run_torture(const TortureOptions& options) {
-  const std::string feastc =
-      !options.feastc_path.empty() ? options.feastc_path : self_exe_path();
   TortureResult result;
-  if (feastc.empty()) {
-    TortureTrial trial;
-    trial.error = "cannot resolve the feastc binary (pass TortureOptions::feastc_path)";
-    result.trials.push_back(std::move(trial));
-    return result;
-  }
-
-  std::error_code ec;
-  fs::create_directories(options.work_dir, ec);
-
-  for (int t = 0; t < options.trials; ++t) {
-    TortureTrial trial = run_trial(options, feastc, t);
-    if (options.log != nullptr) {
-      *options.log << "trial " << (t + 1) << "/" << options.trials << " seed "
-                   << trial.seed << " cells " << trial.cells << " fault "
-                   << trial.fault_spec
-                   << (trial.supervised ? " (supervised)" : "") << ": "
-                   << (trial.ok() ? "ok" : trial.error) << std::endl;
-    }
-    result.trials.push_back(std::move(trial));
-  }
-
-  if (result.ok() && !options.keep_work_dir) {
-    fs::remove_all(options.work_dir, ec);
-  }
+  result.trials = detail::run_trials<TortureTrial>(
+      options, run_trial,
+      [](const TortureTrial& trial) {
+        return " fault " + trial.fault_spec +
+               (trial.supervised ? " (supervised)" : "");
+      });
   return result;
 }
 

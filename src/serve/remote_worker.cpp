@@ -5,16 +5,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "campaign/cache.hpp"
 #include "check/fault.hpp"
 #include "serve/client.hpp"
-#include "supervise/subprocess.hpp"
+#include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
 
@@ -61,14 +58,6 @@ struct Lease {
   std::string inject;
   double timeout_s = 0.0;
   unsigned threads = 1;
-};
-
-/// What one executed lease reports back.
-struct CellReport {
-  bool ok = false;
-  std::string shard;  ///< The raw feast-shard frame when ok.
-  std::string kind;   ///< Taxonomy name when !ok.
-  std::string error;
 };
 
 }  // namespace
@@ -159,49 +148,27 @@ int run_remote_worker(const RemoteWorkerOptions& options,
     }
   };
 
-  // Executes one leased cell through the supervised exec-cell subprocess,
-  // mirroring WorkerPool's argv and harvest decode.
-  const auto execute = [&](const Lease& lease) -> CellReport {
-    CellReport report;
+  // Executes one leased cell through the same exec-cell argv and attempt
+  // decoder as the local WorkerPool.  A healthy result ships the shard
+  // file's bytes unparsed: the daemon classifies torn frames as `net`.
+  const auto execute = [&](const Lease& lease) -> supervise::AttemptResult {
     const std::string spec_hash = hash_hex(fnv1a64(lease.spec));
     const fs::path spec_path =
         fs::path(options.work_dir) / (spec_hash + ".spec");
     std::string error;
     if (!atomic_write_file(spec_path, lease.spec, &error)) {
-      report.kind = "io";
-      report.error = "cannot write spec file: " + error;
-      return report;
+      return {supervise::ErrorKind::Io, "cannot write spec file: " + error, {}};
     }
-    const std::string stem =
-        "lease-" + lease.token + ".cell-" + std::to_string(lease.cell);
-    const fs::path result_path = fs::path(options.work_dir) / (stem + ".result");
-    const fs::path log_path = fs::path(options.work_dir) / (stem + ".log");
+    const fs::path stem = fs::path(options.work_dir) /
+                          ("lease-" + lease.token + ".cell-" +
+                           std::to_string(lease.cell));
+    const std::string result_path = stem.string() + ".result";
+    const std::string log_path = stem.string() + ".log";
     std::error_code ec;
     fs::remove(result_path, ec);
 
-    std::vector<std::string> argv = {feastc,
-                                     "campaign",
-                                     "exec-cell",
-                                     spec_path.string(),
-                                     "--cell",
-                                     std::to_string(lease.cell),
-                                     "--out",
-                                     result_path.string(),
-                                     "--threads",
-                                     std::to_string(lease.threads)};
-    if (options.no_cache) {
-      argv.emplace_back("--no-cache");
-    } else if (!options.cache_dir.empty()) {
-      argv.emplace_back("--cache-dir");
-      argv.push_back(options.cache_dir);
-    }
-    if (!lease.inject.empty()) {
-      argv.emplace_back("--inject");
-      argv.push_back(lease.inject);
-    }
-
     supervise::SubprocessOptions sub;
-    sub.stdout_path = log_path.string();
+    sub.stdout_path = log_path;
     sub.stderr_path = "+stdout";
     sub.new_process_group = true;
     double timeout_s = lease.timeout_s;
@@ -210,45 +177,20 @@ int run_remote_worker(const RemoteWorkerOptions& options,
       timeout_s = options.subprocess_timeout_s;
     }
     std::string spawn_error;
-    const supervise::ExitStatus status =
-        supervise::run_command(argv, sub, timeout_s, &spawn_error);
-
+    const supervise::ExitStatus status = supervise::run_command(
+        supervise::exec_cell_argv({feastc, spec_path.string(), lease.cell,
+                                   result_path, lease.threads, options.cache_dir,
+                                   options.no_cache, lease.inject, ""}),
+        sub, timeout_s, &spawn_error);
     if (status.kind == supervise::ExitStatus::Kind::None) {
-      report.kind = "io";
-      report.error = "spawn failed: " + spawn_error;
-      return report;
+      return {supervise::ErrorKind::Io, "spawn failed: " + spawn_error, {}};
     }
-    if (status.timed_out) {
-      report.kind = "timeout";
-      report.error = "cell exceeded " + std::to_string(timeout_s) + " s";
-      return report;
+    supervise::AttemptResult report = supervise::decode_attempt(
+        status, timeout_s, /*memory_capped=*/false, result_path, log_path);
+    if (report.ok()) {
+      fs::remove(result_path, ec);
+      fs::remove(log_path, ec);
     }
-    if (status.kind == supervise::ExitStatus::Kind::Lost) {
-      report.kind = "io";
-      report.error = "worker subprocess lost";
-      return report;
-    }
-    if (status.kind == supervise::ExitStatus::Kind::Signaled) {
-      report.kind = "signal";
-      report.error = "worker subprocess " + status.describe();
-      return report;
-    }
-    if (!status.exited(0)) {
-      report.kind = "crash";
-      report.error = "worker subprocess " + status.describe();
-      return report;
-    }
-    std::ifstream in(result_path, std::ios::binary);
-    if (!in) {
-      report.kind = "io";
-      report.error = "exec-cell exited 0 but left no result file";
-      return report;
-    }
-    report.shard.assign(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-    report.ok = true;
-    fs::remove(result_path, ec);
-    fs::remove(log_path, ec);
     return report;
   };
 
@@ -324,18 +266,19 @@ int run_remote_worker(const RemoteWorkerOptions& options,
       return check::kFaultExitCode;
     }
 
-    CellReport report = execute(lease);
+    const supervise::AttemptResult report = execute(lease);
     std::string body = "{\"worker\": \"" + json_escape(worker_id) +
                        "\", \"lease\": \"" + json_escape(lease.token) + "\"";
-    if (report.ok) {
-      body += ", \"ok\": true, \"shard\": \"" + json_escape(report.shard) + "\"";
+    if (report.ok()) {
+      body += ", \"ok\": true, \"shard\": \"" + json_escape(report.result) + "\"";
       ++st.cells_ok;
     } else {
-      body += ", \"ok\": false, \"kind\": \"" + json_escape(report.kind) +
-              "\", \"error\": \"" + json_escape(report.error) + "\"";
+      const std::string kind = supervise::to_string(report.kind);
+      body += ", \"ok\": false, \"kind\": \"" + kind + "\", \"error\": \"" +
+              json_escape(report.error) + "\"";
       ++st.cells_failed;
-      log_line("cell " + std::to_string(lease.cell) + " failed [" +
-               report.kind + "] " + report.error);
+      log_line("cell " + std::to_string(lease.cell) + " failed [" + kind + "] " +
+               report.error);
     }
     body += "}";
     const int posts = check::fire(check::FaultSite::WorkerResultDup) ? 2 : 1;

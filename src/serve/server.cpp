@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <csignal>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -10,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +23,6 @@
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "supervise/supervisor.hpp"
 #include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
@@ -67,56 +64,9 @@ std::string error_body(const std::string& message, const std::string& kind = "")
   return out;
 }
 
-bool known_inject_action(const std::string& value) {
-  const std::string action = value.substr(0, value.find('@'));
-  // "worker-die" is the distributed-fabric poison: a remote worker leasing
-  // the cell dies on the spot instead of executing it (docs/SERVE.md).
-  return action == "hang" || action == "crash" || action == "signal" ||
-         action == "worker-die";
-}
-
-/// Resolves an inject value ("action" or "action@N") against one attempt.
-std::string inject_for_attempt(const std::string& value, int attempt) {
-  const std::size_t at = value.find('@');
-  if (at == std::string::npos) return value;
-  const int only = std::atoi(value.c_str() + at + 1);
-  return attempt == only ? value.substr(0, at) : std::string();
-}
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-// Drain flag set from the SIGINT/SIGTERM handler; the reactor polls it
-// between ticks (async-signal-safe by construction, same pattern as the
-// supervised campaign runner).
-volatile std::sig_atomic_t g_serve_signal = 0;
-
-void serve_signal_handler(int sig) { g_serve_signal = sig; }
-
-class SignalGuard {
- public:
-  SignalGuard() {
-    g_serve_signal = 0;
-    struct sigaction action {};
-    action.sa_handler = serve_signal_handler;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGINT, &action, &old_int_);
-    sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~SignalGuard() {
-    sigaction(SIGINT, &old_int_, nullptr);
-    sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  SignalGuard(const SignalGuard&) = delete;
-  SignalGuard& operator=(const SignalGuard&) = delete;
-
-  int signal() const noexcept { return static_cast<int>(g_serve_signal); }
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
 
 // --------------------------------------------------------------- the model
 
@@ -537,13 +487,13 @@ struct Server::Impl {
       const std::string key = next_queued();
       if (key.empty()) return;
       CellJob& job = jobs[key];
-      const std::string inject = inject_for_attempt(job.inject, job.attempts + 1);
+      const std::string inject =
+          supervise::inject_for_attempt(job.inject, job.attempts + 1);
       try {
         job.ticket = pool->submit(job.spec_path, job.cell_index, inject);
       } catch (const std::exception& e) {
         ++job.attempts;
-        fail_or_retry(job, supervise::ErrorKind::Io,
-                      std::string("spawn failed: ") + e.what());
+        fail_or_retry(job, supervise::ErrorKind::Io, e.what());
         continue;
       }
       ++job.attempts;
@@ -584,7 +534,7 @@ struct Server::Impl {
       }
       if (job == nullptr) continue;  // Lease already abandoned (drain).
       job->ticket = 0;
-      if (outcome.ok) {
+      if (outcome.ok()) {
         job->state = CellJob::State::Done;
         job->shard = outcome.shard;
         completed.fetch_add(1, std::memory_order_relaxed);
@@ -780,10 +730,13 @@ struct Server::Impl {
     }
     std::string inject;
     if (const JsonValue* inject_value = root.find("inject")) {
-      if (inject_value->type != JsonValue::Type::String ||
-          !known_inject_action(inject_value->string)) {
-        reply_json(conn.id, 400,
-                   error_body("inject wants hang|crash|signal[@ATTEMPT]"));
+      try {
+        if (inject_value->type != JsonValue::Type::String) {
+          throw std::invalid_argument("inject wants a string");
+        }
+        supervise::validate_inject(inject_value->string, /*allow_worker_die=*/true);
+      } catch (const std::invalid_argument& e) {
+        reply_json(conn.id, 400, error_body(e.what()));
         return;
       }
       inject = inject_value->string;
@@ -841,28 +794,6 @@ struct Server::Impl {
     }
   }
 
-  /// Parses the /v1/campaign "inject" field: "CELL:ACTION[@ATTEMPT]" entries
-  /// joined by commas.  Returns false on any malformed entry.
-  static bool parse_campaign_injects(const std::string& text,
-                                     std::map<std::size_t, std::string>& out) {
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t comma = text.find(',', pos);
-      if (comma == std::string::npos) comma = text.size();
-      const std::string entry = text.substr(pos, comma - pos);
-      pos = comma + 1;
-      const std::size_t colon = entry.find(':');
-      if (colon == 0 || colon == std::string::npos) return false;
-      char* end = nullptr;
-      const unsigned long cell = std::strtoul(entry.c_str(), &end, 10);
-      if (end != entry.c_str() + colon) return false;
-      const std::string action = entry.substr(colon + 1);
-      if (!known_inject_action(action)) return false;
-      out[static_cast<std::size_t>(cell)] = action;
-    }
-    return true;
-  }
-
   void handle_campaign_request(Conn& conn, const JsonValue& root) {
     const JsonValue* spec_value = root.find("spec");
     if (spec_value == nullptr || spec_value->type != JsonValue::Type::String) {
@@ -871,10 +802,14 @@ struct Server::Impl {
     }
     std::map<std::size_t, std::string> injects;
     if (const JsonValue* inject_value = root.find("inject")) {
-      if (inject_value->type != JsonValue::Type::String ||
-          !parse_campaign_injects(inject_value->string, injects)) {
-        reply_json(conn.id, 400,
-                   error_body("inject wants CELL:ACTION[@ATTEMPT][,...]"));
+      try {
+        if (inject_value->type != JsonValue::Type::String) {
+          throw std::invalid_argument("inject wants a string");
+        }
+        injects = supervise::parse_inject_spec(inject_value->string,
+                                               /*allow_worker_die=*/true);
+      } catch (const std::invalid_argument& e) {
+        reply_json(conn.id, 400, error_body(e.what()));
         return;
       }
     }
@@ -1057,7 +992,8 @@ struct Server::Impl {
       return;
     }
     CellJob& job = jobs.find(key)->second;
-    const std::string inject = inject_for_attempt(job.inject, job.attempts + 1);
+    const std::string inject =
+        supervise::inject_for_attempt(job.inject, job.attempts + 1);
     ++job.attempts;
     std::ifstream spec_in(job.spec_path, std::ios::binary);
     std::ostringstream spec_text;
@@ -1675,7 +1611,7 @@ std::uint16_t Server::port() const noexcept { return impl_->listener.port(); }
 int Server::run() {
   Impl& impl = *impl_;
   if (!impl.listener.valid()) start();
-  SignalGuard signals;
+  supervise::DrainSignalGuard signals;
   bool drained = false;
   while (true) {
     // Assemble this tick's poll set: listener + every connection.

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <chrono>
 #include <stdexcept>
@@ -245,6 +246,33 @@ ExitStatus Subprocess::kill_and_reap(double term_grace_s) {
   send_signal(SIGKILL);
   reap_blocking();
   return status_;
+}
+
+namespace {
+
+// Set from the SIGINT/SIGTERM handler (async-signal-safe by construction).
+volatile std::sig_atomic_t g_drain_signal = 0;
+
+void drain_handler(int sig) { g_drain_signal = sig; }
+
+}  // namespace
+
+DrainSignalGuard::DrainSignalGuard() {
+  g_drain_signal = 0;
+  struct sigaction action {};
+  action.sa_handler = drain_handler;
+  sigemptyset(&action.sa_mask);
+  sigaction(SIGINT, &action, &old_int_);
+  sigaction(SIGTERM, &action, &old_term_);
+}
+
+DrainSignalGuard::~DrainSignalGuard() {
+  sigaction(SIGINT, &old_int_, nullptr);
+  sigaction(SIGTERM, &old_term_, nullptr);
+}
+
+int DrainSignalGuard::signal() const noexcept {
+  return static_cast<int>(g_drain_signal);
 }
 
 std::string self_exe_path() {

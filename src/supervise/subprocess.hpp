@@ -11,13 +11,16 @@
 /// The watchdog pattern lives in `kill_and_reap`: SIGTERM, a bounded grace
 /// period, then SIGKILL escalation, always ending in a reaped child (no
 /// zombies).  `run_command` composes spawn + deadline + escalation for
-/// one-shot callers (the torture driver).
+/// one-shot callers (the torture driver).  DrainSignalGuard is the
+/// SIGINT/SIGTERM hook through which the owners of long-lived children (the
+/// supervisor and the serve daemon) learn to drain.
 ///
 /// Fork safety: the parent may own a running thread pool, so the child
 /// executes only async-signal-safe calls (dup2/setpgid/setrlimit/execvp/
 /// _exit) between fork() and execvp().
 #pragma once
 
+#include <signal.h>
 #include <sys/types.h>
 
 #include <cstdint>
@@ -126,6 +129,26 @@ class Subprocess {
 ExitStatus run_command(const std::vector<std::string>& argv,
                        const SubprocessOptions& options, double timeout_s,
                        std::string* error = nullptr);
+
+/// Installs SIGINT/SIGTERM handlers that only record the signal, for the
+/// guard's lifetime, and restores the previous dispositions afterwards (the
+/// CLI's own handlers, or the default, must win again once the owner has
+/// returned).  The supervisor and the serve daemon poll signal() between
+/// ticks to start their drain.
+class DrainSignalGuard {
+ public:
+  DrainSignalGuard();
+  ~DrainSignalGuard();
+  DrainSignalGuard(const DrainSignalGuard&) = delete;
+  DrainSignalGuard& operator=(const DrainSignalGuard&) = delete;
+
+  /// The drain signal received so far (0 = none).
+  int signal() const noexcept;
+
+ private:
+  struct sigaction old_int_ {};
+  struct sigaction old_term_ {};
+};
 
 /// Absolute path of the running executable (/proc/self/exe); falls back to
 /// "feastc" (PATH lookup) when unreadable.  The supervisor and the serve

@@ -1,15 +1,12 @@
 #include "supervise/supervisor.hpp"
 
 #include <csignal>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
 #include <ostream>
 #include <sstream>
@@ -21,7 +18,7 @@
 #include "campaign/cache.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "supervise/subprocess.hpp"
+#include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -69,77 +66,45 @@ double backoff_delay_ms(const BackoffPolicy& policy, std::size_t cell_index,
 
 namespace {
 
-bool known_inject_action(const std::string& action) {
-  return action == "hang" || action == "crash" || action == "signal";
-}
-
-/// Resolves an inject value ("action" or "action@N") against one attempt.
-std::string inject_for_attempt(const std::string& value, int attempt) {
-  const std::size_t at = value.find('@');
-  if (at == std::string::npos) return value;
-  const int only = std::atoi(value.c_str() + at + 1);
-  return attempt == only ? value.substr(0, at) : std::string();
+/// The N of an "@N" suffix: a plain decimal integer >= 1, else 0.
+int attempt_number(const std::string& digits) {
+  if (digits.empty() || digits.size() > 9 ||
+      digits.find_first_not_of("0123456789") != std::string::npos) {
+    return 0;
+  }
+  return std::stoi(digits);
 }
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// The last few lines of a worker log, squeezed onto one line for the
-/// manifest error field ("" when the log is missing or empty).
-std::string log_tail(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  while (!data.empty() && (data.back() == '\n' || data.back() == '\r')) {
-    data.pop_back();
-  }
-  if (data.empty()) return {};
-  constexpr std::size_t kMaxBytes = 320;
-  if (data.size() > kMaxBytes) data.erase(0, data.size() - kMaxBytes);
-  std::string tail;
-  tail.reserve(data.size());
-  for (const char c : data) tail += (c == '\n' || c == '\r') ? ' ' : c;
-  return tail;
-}
-
-// Drain flag set from the SIGINT/SIGTERM handler; the supervisor loop
-// polls it between heartbeats (async-signal-safe by construction).
-volatile std::sig_atomic_t g_drain_signal = 0;
-
-void drain_handler(int sig) { g_drain_signal = sig; }
-
-/// Installs the drain handlers for the supervisor's lifetime and restores
-/// the previous dispositions afterwards (the CLI's own handlers, or the
-/// default, must win again once the campaign has returned).
-class DrainGuard {
- public:
-  DrainGuard() {
-    g_drain_signal = 0;
-    struct sigaction action {};
-    action.sa_handler = drain_handler;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGINT, &action, &old_int_);
-    sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~DrainGuard() {
-    sigaction(SIGINT, &old_int_, nullptr);
-    sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  DrainGuard(const DrainGuard&) = delete;
-  DrainGuard& operator=(const DrainGuard&) = delete;
-
-  int signal() const noexcept { return static_cast<int>(g_drain_signal); }
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
-
 }  // namespace
 
-std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec) {
+void validate_inject(const std::string& value, bool allow_worker_die) {
+  const std::size_t at = value.find('@');
+  const std::string action = value.substr(0, at);
+  if (action != "hang" && action != "crash" && action != "signal" &&
+      !(allow_worker_die && action == "worker-die")) {
+    throw std::invalid_argument(
+        std::string("inject action must be hang|crash|signal") +
+        (allow_worker_die ? "|worker-die" : "") + ", got '" + action + "'");
+  }
+  if (at != std::string::npos && attempt_number(value.substr(at + 1)) < 1) {
+    throw std::invalid_argument("inject attempt must be an integer >= 1, got '" +
+                                value + "'");
+  }
+}
+
+std::string inject_for_attempt(const std::string& value, int attempt) {
+  const std::size_t at = value.find('@');
+  if (at == std::string::npos) return value;
+  return attempt == attempt_number(value.substr(at + 1)) ? value.substr(0, at)
+                                                         : std::string();
+}
+
+std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec,
+                                                     bool allow_worker_die) {
   std::map<std::size_t, std::string> inject;
   for (const std::string& rule : split(spec, ',')) {
     const std::string trimmed = trim(rule);
@@ -149,20 +114,15 @@ std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec) {
       throw std::invalid_argument(
           "inject rule must be CELL:ACTION[@ATTEMPT], got '" + trimmed + "'");
     }
-    std::size_t cell = 0;
-    try {
-      cell = std::stoull(trim(trimmed.substr(0, colon)));
-    } catch (const std::exception&) {
+    const std::string cell = trim(trimmed.substr(0, colon));
+    if (cell.empty() || cell.size() > 18 ||
+        cell.find_first_not_of("0123456789") != std::string::npos) {
       throw std::invalid_argument("inject rule cell must be a number in '" +
                                   trimmed + "'");
     }
     const std::string value = trim(trimmed.substr(colon + 1));
-    const std::string action = value.substr(0, value.find('@'));
-    if (!known_inject_action(action)) {
-      throw std::invalid_argument(
-          "inject action must be hang|crash|signal, got '" + action + "'");
-    }
-    inject[cell] = value;
+    validate_inject(value, allow_worker_die);
+    inject[std::stoull(cell)] = value;
   }
   return inject;
 }
@@ -379,64 +339,25 @@ struct ReadyEntry {
   Clock::time_point due;
 };
 
-/// One live worker subprocess.
-struct Slot {
-  Subprocess proc;
-  std::size_t cell = 0;
-  int attempt = 1;
-  Clock::time_point started;
-  fs::path result_path;
-  fs::path log_path;
-  obs::Sink* sink = nullptr;  ///< Captured at spawn for the attempt span.
-  std::uint64_t span_start_ns = 0;
-};
-
 }  // namespace
 
 CampaignResult run_supervised_campaign(const CampaignSpec& spec,
                                        const CampaignOptions& options,
                                        const SupervisorOptions& sup) {
-  if (spec.strategies.empty()) throw std::invalid_argument("campaign: no strategies");
-  if (spec.sizes.empty()) throw std::invalid_argument("campaign: no sizes");
-  if (spec.batch.samples < 1) throw std::invalid_argument("campaign: samples < 1");
-  for (const int n : spec.sizes) {
-    if (n < 1) throw std::invalid_argument("campaign: sizes must be positive");
-  }
+  std::vector<Strategy> strategies;
+  std::vector<PlannedCell> plan;
+  CampaignResult result = plan_campaign(spec, options, strategies, plan);
   if (sup.workers < 1) throw std::invalid_argument("supervise: workers < 1");
   if (sup.max_attempts < 1) throw std::invalid_argument("supervise: max attempts < 1");
-  for (const auto& [cell, value] : sup.inject) {
-    if (!known_inject_action(value.substr(0, value.find('@')))) {
-      throw std::invalid_argument("supervise: bad inject action '" + value + "'");
-    }
-  }
+  for (const auto& [cell, value] : sup.inject) validate_inject(value);
   for (const auto& [cell, value] : sup.fault_cells) {
     check::FaultPlan probe(value);  // Fail fast on malformed fault specs.
   }
 
-  // The supervisor's own fault sites (spawn/heartbeat/manifest-write) fire
-  // in this process; workers are separate processes and see no plan.
+  // The supervisor's own fault sites (spawn/heartbeat inside the worker
+  // pool, manifest-write) fire in this process; workers are separate
+  // processes and see no plan.
   check::ScopedFaultPlan scoped_faults(spec.context.faults);
-
-  std::vector<Strategy> strategies;
-  strategies.reserve(spec.strategies.size());
-  for (const std::string& s : spec.strategies) {
-    strategies.push_back(parse_strategy_spec(s));
-  }
-
-  const std::string spec_text = spec.canonical_text();
-
-  CampaignResult result;
-  result.name = spec.name;
-  result.spec_hash_hex = hash_hex(fnv1a64(spec_text));
-  result.samples = spec.batch.samples;
-
-  const std::vector<PlannedCell> plan = plan_cells(spec, strategies);
-  result.cells = plan_outcomes(spec, strategies, plan);
-
-  if (options.resume) {
-    restore_finished_cells(options.manifest_path, result.spec_hash_hex,
-                           result.cells);
-  }
 
   BackoffPolicy backoff = sup.backoff;
   if (backoff.seed == 0) backoff.seed = spec.batch.seed;
@@ -453,12 +374,24 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   if (spec_path.empty()) {
     spec_path = (work_dir / "spec.feast").string();
     std::string error;
-    if (!atomic_write_file(spec_path, spec_text, &error)) {
+    if (!atomic_write_file(spec_path, spec.canonical_text(), &error)) {
       throw std::runtime_error("supervise: cannot write worker spec: " + error);
     }
   }
-  const std::string feastc =
-      sup.feastc_path.empty() ? self_exe_path() : sup.feastc_path;
+
+  WorkerPoolOptions pool_options;
+  pool_options.slots = sup.workers;
+  pool_options.cell_timeout_s = sup.cell_timeout_s;
+  pool_options.term_grace_s = sup.term_grace_s;
+  pool_options.memory_limit_mb = sup.memory_limit_mb;
+  pool_options.worker_threads = sup.worker_threads;
+  pool_options.feastc_path = sup.feastc_path;
+  pool_options.cache_dir = sup.cache_dir;
+  pool_options.no_cache = sup.no_cache;
+  pool_options.work_dir = work_dir.string();
+  pool_options.keep_files = sup.keep_work_dir;
+  WorkerPool pool(pool_options);
+  std::map<std::uint64_t, int> attempt_of;  // Pool ticket → attempt number.
 
   const auto start = Clock::now();
   refresh_campaign_totals(result, 0.0);
@@ -473,10 +406,7 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   const std::size_t total = result.cells.size();
   std::size_t finished = total - ready.size();  // Restored cells count as done.
 
-  std::vector<Slot> running;
-  running.reserve(static_cast<std::size_t>(sup.workers));
-
-  DrainGuard drain_guard;
+  DrainSignalGuard drain_guard;
   bool draining = false;
   Clock::time_point drain_deadline{};
 
@@ -490,12 +420,12 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   };
 
   // Records a cell's terminal success from a parsed shard result.
-  const auto complete_cell = [&](const Slot& slot, const ShardResult& shard) {
-    CellOutcome& cell = result.cells[slot.cell];
+  const auto complete_cell = [&](int attempt, const ShardResult& shard) {
+    CellOutcome& cell = result.cells[shard.cell_index];
     cell.state = shard.from_cache ? CellState::Cached : CellState::Computed;
     cell.stats = shard.stats;
     cell.wall_ms = shard.wall_ms;
-    cell.attempts = slot.attempt;
+    cell.attempts = attempt;
     cell.error.clear();
     cell.error_kind.clear();
     ++finished;
@@ -504,7 +434,7 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
       progress_prefix(*options.progress)
           << cell.strategy_label << " procs=" << cell.n_procs << " "
           << to_string(cell.state) << " (" << format_compact(cell.wall_ms, 1)
-          << " ms, attempt " << slot.attempt << ")" << std::endl;
+          << " ms, attempt " << attempt << ")" << std::endl;
     }
   };
 
@@ -544,143 +474,6 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
     }
   };
 
-  // Classifies and records one finished (or watchdog-killed) attempt.
-  const auto harvest = [&](Slot& slot, const ExitStatus& status) {
-    if (slot.sink != nullptr) {
-      obs::detail::record_span(*slot.sink, obs::Span::SuperviseAttempt,
-                               slot.span_start_ns);
-    }
-    if (const auto fault = check::fire(check::FaultSite::SuperviseHeartbeat)) {
-      if (*fault == check::FaultAction::Die) std::_Exit(check::kFaultExitCode);
-      // Any other action: the heartbeat "lost" this worker — discard its
-      // result exactly as if the watchdog had killed it.
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Timeout,
-                   "injected heartbeat fault: attempt discarded");
-      return;
-    }
-    const std::string tail = log_tail(slot.log_path);
-    const std::string suffix = tail.empty() ? "" : " — " + tail;
-    if (status.timed_out) {
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Timeout,
-                   "watchdog: exceeded " + format_compact(sup.cell_timeout_s, 3) +
-                       " s deadline (" + status.describe() + ")" + suffix);
-      return;
-    }
-    if (status.kind == ExitStatus::Kind::Lost) {
-      // waitpid could not observe the worker (reaped elsewhere): an
-      // infrastructure failure, same bucket as a failed spawn.
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Io,
-                   "worker " + status.describe() + suffix);
-      return;
-    }
-    if (status.kind == ExitStatus::Kind::Signaled) {
-      // Under an address-space cap the kernel's reply to an unservable
-      // allocation is SIGKILL; classify that as oom, anything else as the
-      // signal it was.
-      const ErrorKind kind =
-          (sup.memory_limit_mb > 0 && status.term_signal == SIGKILL)
-              ? ErrorKind::Oom
-              : ErrorKind::Signal;
-      fail_attempt(slot.cell, slot.attempt, kind,
-                   "worker " + status.describe() + suffix);
-      return;
-    }
-    if (!status.exited(0)) {
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Crash,
-                   "worker " + status.describe() + suffix);
-      return;
-    }
-    std::ifstream in(slot.result_path, std::ios::binary);
-    if (!in) {
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Io,
-                   "worker exited 0 but left no result file" + suffix);
-      return;
-    }
-    const std::string data((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    const std::optional<ShardResult> shard = parse_shard_result(data);
-    if (!shard.has_value() || shard->cell_index != slot.cell) {
-      fail_attempt(slot.cell, slot.attempt, ErrorKind::Io,
-                   "worker result unreadable: " + slot.result_path.string());
-      return;
-    }
-    complete_cell(slot, *shard);
-    if (!sup.keep_work_dir) {
-      std::error_code ec;
-      fs::remove(slot.result_path, ec);
-      fs::remove(slot.log_path, ec);
-    }
-  };
-
-  const auto spawn_attempt = [&](std::size_t cell_index, int attempt) {
-    obs::count(obs::Counter::SuperviseSpawn);
-    if (const auto fault = check::fire(check::FaultSite::SuperviseSpawn)) {
-      if (*fault == check::FaultAction::Die) std::_Exit(check::kFaultExitCode);
-      fail_attempt(cell_index, attempt, ErrorKind::Io,
-                   "injected spawn failure");
-      return;
-    }
-    Slot slot;
-    slot.cell = cell_index;
-    slot.attempt = attempt;
-    const std::string stem = "cell-" + std::to_string(cell_index) + ".attempt-" +
-                             std::to_string(attempt);
-    slot.result_path = work_dir / (stem + ".result");
-    slot.log_path = work_dir / (stem + ".log");
-    std::error_code ec;
-    fs::remove(slot.result_path, ec);  // Never harvest a stale shard.
-
-    std::vector<std::string> argv = {feastc,
-                                     "campaign",
-                                     "exec-cell",
-                                     spec_path,
-                                     "--cell",
-                                     std::to_string(cell_index),
-                                     "--out",
-                                     slot.result_path.string(),
-                                     "--threads",
-                                     std::to_string(sup.worker_threads)};
-    if (sup.no_cache) {
-      argv.emplace_back("--no-cache");
-    } else if (!sup.cache_dir.empty()) {
-      argv.emplace_back("--cache-dir");
-      argv.push_back(sup.cache_dir);
-    }
-    if (const auto it = sup.inject.find(cell_index); it != sup.inject.end()) {
-      const std::string action = inject_for_attempt(it->second, attempt);
-      if (!action.empty()) {
-        argv.emplace_back("--inject");
-        argv.push_back(action);
-      }
-    }
-    if (const auto it = sup.fault_cells.find(cell_index); it != sup.fault_cells.end()) {
-      argv.emplace_back("--faults");
-      argv.push_back(it->second);
-    }
-
-    SubprocessOptions opts;
-    opts.stdout_path = slot.log_path.string();
-    opts.stderr_path = "+stdout";
-    opts.memory_limit_bytes = sup.memory_limit_mb << 20;
-    // Own process group: a terminal Ctrl-C must reach only the supervisor
-    // (which drains), never the workers — otherwise every in-flight attempt
-    // harvests as a signal death and gets charged, breaking the "drain
-    // kills are uncharged" guarantee.
-    opts.new_process_group = true;
-    try {
-      slot.proc = Subprocess::spawn(argv, opts);
-    } catch (const std::exception& e) {
-      fail_attempt(cell_index, attempt, ErrorKind::Io,
-                   std::string("spawn failed: ") + e.what());
-      return;
-    }
-    slot.started = Clock::now();
-    if ((slot.sink = obs::active()) != nullptr) {
-      slot.span_start_ns = obs::detail::now_ns(*slot.sink);
-    }
-    running.push_back(std::move(slot));
-  };
-
   // ------------------------------------------------------- the event loop
   while (true) {
     const auto now = Clock::now();
@@ -696,7 +489,7 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
         *options.progress << "drain: signal " << drain_guard.signal()
                           << " received; waiting up to "
                           << format_compact(sup.drain_grace_s, 1) << " s for "
-                          << running.size() << " running worker(s)" << std::endl;
+                          << pool.running() << " running worker(s)" << std::endl;
       }
     }
 
@@ -706,8 +499,7 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
       // iterator, so spawning while still walking `ready` is UB.
       std::vector<ReadyEntry> due;
       for (auto it = ready.begin();
-           it != ready.end() &&
-           running.size() + due.size() < static_cast<std::size_t>(sup.workers);) {
+           it != ready.end() && due.size() < pool.free_slots();) {
         if (it->due <= now) {
           due.push_back(*it);
           it = ready.erase(it);
@@ -715,40 +507,41 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
           ++it;
         }
       }
-      for (const ReadyEntry& entry : due) spawn_attempt(entry.cell, entry.attempt);
+      for (const ReadyEntry& entry : due) {
+        const auto inject = sup.inject.find(entry.cell);
+        const auto faults = sup.fault_cells.find(entry.cell);
+        try {
+          attempt_of[pool.submit(
+              spec_path, entry.cell,
+              inject == sup.inject.end()
+                  ? ""
+                  : inject_for_attempt(inject->second, entry.attempt),
+              faults == sup.fault_cells.end() ? "" : faults->second)] =
+              entry.attempt;
+        } catch (const std::exception& e) {
+          fail_attempt(entry.cell, entry.attempt, ErrorKind::Io, e.what());
+        }
+      }
     }
 
-    for (auto it = running.begin(); it != running.end();) {
-      Slot& slot = *it;
-      if (slot.proc.poll()) {
-        const ExitStatus status = slot.proc.status();
-        harvest(slot, status);
-        it = running.erase(it);
-        continue;
+    for (const WorkerOutcome& outcome : pool.poll()) {
+      const auto it = attempt_of.find(outcome.ticket);
+      const int attempt = it->second;
+      attempt_of.erase(it);
+      if (outcome.ok()) {
+        complete_cell(attempt, outcome.shard);
+      } else {
+        fail_attempt(outcome.cell_index, attempt, outcome.kind, outcome.error);
       }
-      const double age_s =
-          std::chrono::duration<double>(Clock::now() - slot.started).count();
-      if (sup.cell_timeout_s > 0.0 && age_s > sup.cell_timeout_s) {
-        obs::count(obs::Counter::SuperviseKill);
-        const ExitStatus status = slot.proc.kill_and_reap(sup.term_grace_s);
-        harvest(slot, status);
-        it = running.erase(it);
-        continue;
-      }
-      if (draining && Clock::now() >= drain_deadline) {
-        // Past the drain grace: kill the straggler and leave its cell
-        // Pending — resume retries it, the attempt is not charged.
-        obs::count(obs::Counter::SuperviseKill);
-        slot.proc.kill_and_reap(1.0);
-        std::error_code ec;
-        fs::remove(slot.result_path, ec);
-        it = running.erase(it);
-        continue;
-      }
-      ++it;
     }
 
-    if (running.empty() && (draining || ready.empty())) break;
+    if (draining && Clock::now() >= drain_deadline && pool.running() > 0) {
+      // Past the drain grace: kill the stragglers and leave their cells
+      // Pending — resume retries them, the attempts are not charged.
+      pool.kill_all(/*grace_s=*/1.0);
+    }
+
+    if (pool.running() == 0 && (draining || ready.empty())) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 

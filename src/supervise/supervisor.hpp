@@ -96,9 +96,9 @@ struct SupervisorOptions {
                           ///< still forwards (workers default their own).
   bool no_cache = false;
   /// Deterministic poison-cell injection for tests and torture: cell index
-  /// → "hang" | "crash" | "signal", optionally "@N" to poison only attempt
-  /// N (e.g. "crash@1" fails once, then the retry succeeds).  Forwarded to
-  /// the matching worker as `exec-cell --inject`.
+  /// → "hang" | "crash" | "signal", optionally "@N" (N >= 1) to poison only
+  /// attempt N (e.g. "crash@1" fails once, then the retry succeeds).
+  /// Forwarded to the matching worker as `exec-cell --inject`.
   std::map<std::size_t, std::string> inject;
   /// Per-cell fault-injection plans (check/fault.hpp spec grammar, e.g.
   /// "exact-solve:1:die"), armed inside the matching worker subprocess via
@@ -108,9 +108,19 @@ struct SupervisorOptions {
   std::map<std::size_t, std::string> fault_cells;
 };
 
-/// Parses a comma-separated `--inject CELL:ACTION[@ATTEMPT]` list.  Throws
-/// std::invalid_argument on malformed input.
-std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec);
+/// Checks one inject value, `ACTION[@N]`: ACTION is hang | crash | signal,
+/// or also worker-die (the serve fabric's poison) when \p allow_worker_die;
+/// N, when present, is an integer >= 1.  Throws std::invalid_argument.
+void validate_inject(const std::string& value, bool allow_worker_die = false);
+
+/// Parses a comma-separated `--inject CELL:ACTION[@N]` list (each value as
+/// validate_inject).  Throws std::invalid_argument on malformed input.
+std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec,
+                                                     bool allow_worker_die = false);
+
+/// The action a validated inject value applies to 1-based attempt
+/// \p attempt: the bare action, or "" when `@N` names another attempt.
+std::string inject_for_attempt(const std::string& value, int attempt);
 
 /// Runs the campaign under process isolation.  Uses options.manifest_path /
 /// resume / progress / cache exactly like run_campaign (the cache pointer is

@@ -3,36 +3,26 @@
 #include <csignal>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 
+#include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "supervise/subprocess.hpp"
-#include "util/fsio.hpp"
+#include "util/strings.hpp"
 
 namespace feast::supervise {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-struct WorkerPool::Lease {
-  Subprocess proc;
-  std::uint64_t ticket = 0;
-  std::size_t cell = 0;
-  Clock::time_point started;
-  fs::path result_path;
-  fs::path log_path;
-  obs::Sink* sink = nullptr;  ///< Captured at spawn for the attempt span.
-  std::uint64_t span_start_ns = 0;
-};
-
 namespace {
 
 /// The last few lines of a worker log, squeezed onto one line ("" when the
-/// log is missing or empty).  Mirrors the supervisor's error detail.
-std::string log_tail(const fs::path& path) {
+/// log is missing or empty).
+std::string log_tail(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return {};
   std::string data((std::istreambuf_iterator<char>(in)),
@@ -51,6 +41,76 @@ std::string log_tail(const fs::path& path) {
 
 }  // namespace
 
+std::vector<std::string> exec_cell_argv(const ExecCellArgs& args) {
+  std::vector<std::string> argv = {args.feastc,
+                                   "campaign",
+                                   "exec-cell",
+                                   args.spec_path,
+                                   "--cell",
+                                   std::to_string(args.cell),
+                                   "--out",
+                                   args.out_path,
+                                   "--threads",
+                                   std::to_string(args.threads)};
+  if (args.no_cache) {
+    argv.emplace_back("--no-cache");
+  } else if (!args.cache_dir.empty()) {
+    argv.emplace_back("--cache-dir");
+    argv.push_back(args.cache_dir);
+  }
+  if (!args.inject.empty()) {
+    argv.emplace_back("--inject");
+    argv.push_back(args.inject);
+  }
+  if (!args.faults.empty()) {
+    argv.emplace_back("--faults");
+    argv.push_back(args.faults);
+  }
+  return argv;
+}
+
+AttemptResult decode_attempt(const ExitStatus& status, double timeout_s,
+                             bool memory_capped, const std::string& result_path,
+                             const std::string& log_path) {
+  const auto failed = [&](ErrorKind kind, const std::string& what) {
+    const std::string tail = log_tail(log_path);
+    return AttemptResult{kind, tail.empty() ? what : what + " — " + tail, {}};
+  };
+  if (status.timed_out) {
+    return failed(ErrorKind::Timeout, "watchdog: exceeded " +
+                                          format_compact(timeout_s, 3) +
+                                          " s deadline (" + status.describe() + ")");
+  }
+  if (!status.exited(0)) {
+    ErrorKind kind = ErrorKind::Crash;
+    if (status.kind == ExitStatus::Kind::Lost) {
+      // waitpid could not observe the worker (reaped elsewhere): an
+      // infrastructure failure, same bucket as a failed spawn.
+      kind = ErrorKind::Io;
+    } else if (status.kind == ExitStatus::Kind::Signaled) {
+      kind = memory_capped && status.term_signal == SIGKILL ? ErrorKind::Oom
+                                                            : ErrorKind::Signal;
+    }
+    return failed(kind, "worker " + status.describe());
+  }
+  std::ifstream in(result_path, std::ios::binary);
+  if (!in) return failed(ErrorKind::Io, "worker exited 0 but left no result file");
+  return {ErrorKind::None, "",
+          std::string(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>())};
+}
+
+struct WorkerPool::Lease {
+  Subprocess proc;
+  std::uint64_t ticket = 0;
+  std::size_t cell = 0;
+  Clock::time_point started;
+  std::string result_path;
+  std::string log_path;
+  obs::Sink* sink = nullptr;  ///< Captured at spawn for the attempt span.
+  std::uint64_t span_start_ns = 0;
+};
+
 WorkerPool::WorkerPool(WorkerPoolOptions options) : options_(std::move(options)) {
   if (options_.slots < 1) throw std::invalid_argument("worker pool: slots < 1");
   if (options_.work_dir.empty()) {
@@ -67,61 +127,51 @@ WorkerPool::~WorkerPool() {
   kill_all(/*grace_s=*/1.0);
 }
 
-std::size_t WorkerPool::capacity() const noexcept {
-  return static_cast<std::size_t>(options_.slots);
-}
-
 std::size_t WorkerPool::running() const noexcept { return leases_.size(); }
 
 std::size_t WorkerPool::free_slots() const noexcept {
-  return capacity() - running();
+  return static_cast<std::size_t>(options_.slots) - running();
 }
 
 std::uint64_t WorkerPool::submit(const std::string& spec_path,
-                                 std::size_t cell_index, const std::string& inject) {
+                                 std::size_t cell_index, const std::string& inject,
+                                 const std::string& faults) {
   if (free_slots() == 0) throw std::runtime_error("worker pool: no free slot");
+
+  obs::count(obs::Counter::SuperviseSpawn);
+  if (const auto fault = check::fire(check::FaultSite::SuperviseSpawn)) {
+    if (*fault == check::FaultAction::Die) std::_Exit(check::kFaultExitCode);
+    throw std::runtime_error("injected spawn failure");
+  }
 
   Lease lease;
   lease.ticket = next_ticket_++;
   lease.cell = cell_index;
-  const std::string stem = "lease-" + std::to_string(lease.ticket) + ".cell-" +
-                           std::to_string(cell_index);
-  lease.result_path = fs::path(options_.work_dir) / (stem + ".result");
-  lease.log_path = fs::path(options_.work_dir) / (stem + ".log");
+  const fs::path stem = fs::path(options_.work_dir) /
+                        ("lease-" + std::to_string(lease.ticket) + ".cell-" +
+                         std::to_string(cell_index));
+  lease.result_path = stem.string() + ".result";
+  lease.log_path = stem.string() + ".log";
   std::error_code ec;
   fs::remove(lease.result_path, ec);  // Never harvest a stale shard.
 
-  std::vector<std::string> argv = {feastc_,
-                                   "campaign",
-                                   "exec-cell",
-                                   spec_path,
-                                   "--cell",
-                                   std::to_string(cell_index),
-                                   "--out",
-                                   lease.result_path.string(),
-                                   "--threads",
-                                   std::to_string(options_.worker_threads)};
-  if (options_.no_cache) {
-    argv.emplace_back("--no-cache");
-  } else if (!options_.cache_dir.empty()) {
-    argv.emplace_back("--cache-dir");
-    argv.push_back(options_.cache_dir);
-  }
-  if (!inject.empty()) {
-    argv.emplace_back("--inject");
-    argv.push_back(inject);
-  }
-
   SubprocessOptions opts;
-  opts.stdout_path = lease.log_path.string();
+  opts.stdout_path = lease.log_path;
   opts.stderr_path = "+stdout";
   opts.memory_limit_bytes = options_.memory_limit_mb << 20;
-  // Own process group: a SIGTERM aimed at the daemon must reach only the
-  // daemon (which drains), never the workers.
+  // Own process group: a terminal Ctrl-C or a SIGTERM aimed at the owner
+  // must reach only the owner (which drains), never the workers — otherwise
+  // every in-flight attempt harvests as a signal death and gets charged.
   opts.new_process_group = true;
-
-  obs::count(obs::Counter::SuperviseSpawn);
-  lease.proc = Subprocess::spawn(argv, opts);  // Throws on spawn failure.
+  try {
+    lease.proc = Subprocess::spawn(
+        exec_cell_argv({feastc_, spec_path, cell_index, lease.result_path,
+                        options_.worker_threads, options_.cache_dir,
+                        options_.no_cache, inject, faults}),
+        opts);
+  } catch (const std::exception& e) {
+    throw std::runtime_error(std::string("spawn failed: ") + e.what());
+  }
   lease.started = Clock::now();
   if ((lease.sink = obs::active()) != nullptr) {
     lease.span_start_ns = obs::detail::now_ns(*lease.sink);
@@ -131,69 +181,45 @@ std::uint64_t WorkerPool::submit(const std::string& spec_path,
   return ticket;
 }
 
-WorkerOutcome WorkerPool::harvest(Lease& lease, bool timed_out) {
+WorkerOutcome WorkerPool::harvest(Lease& lease) {
   if (lease.sink != nullptr) {
     obs::detail::record_span(*lease.sink, obs::Span::SuperviseAttempt,
                              lease.span_start_ns);
   }
-  const ExitStatus& status = lease.proc.status();
   WorkerOutcome outcome;
   outcome.ticket = lease.ticket;
   outcome.cell_index = lease.cell;
-  outcome.wall_s =
-      std::chrono::duration<double>(Clock::now() - lease.started).count();
 
-  const std::string tail = log_tail(lease.log_path);
-  const std::string suffix = tail.empty() ? "" : " — " + tail;
-  if (timed_out) {
+  if (const auto fault = check::fire(check::FaultSite::SuperviseHeartbeat)) {
+    if (*fault == check::FaultAction::Die) std::_Exit(check::kFaultExitCode);
+    // Any other action: the heartbeat "lost" this worker — discard its
+    // result exactly as if the watchdog had killed it.
     outcome.kind = ErrorKind::Timeout;
-    outcome.error = "watchdog: exceeded deadline (" + status.describe() + ")" +
-                    suffix;
+    outcome.error = "injected heartbeat fault: attempt discarded";
     return outcome;
   }
-  if (status.kind == ExitStatus::Kind::Lost) {
-    outcome.kind = ErrorKind::Io;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
-  }
-  if (status.kind == ExitStatus::Kind::Signaled) {
-    // Under an address-space cap the kernel's reply to an unservable
-    // allocation is SIGKILL; classify that as oom.
-    outcome.kind = (options_.memory_limit_mb > 0 && status.term_signal == SIGKILL)
-                       ? ErrorKind::Oom
-                       : ErrorKind::Signal;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
-  }
-  if (!status.exited(0)) {
-    outcome.kind = ErrorKind::Crash;
-    outcome.error = "worker " + status.describe() + suffix;
-    return outcome;
-  }
-  std::ifstream in(lease.result_path, std::ios::binary);
-  if (!in) {
-    outcome.kind = ErrorKind::Io;
-    outcome.error = "worker exited 0 but left no result file" + suffix;
-    return outcome;
-  }
-  const std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  static_cast<AttemptResult&>(outcome) =
+      decode_attempt(lease.proc.status(), options_.cell_timeout_s,
+                     options_.memory_limit_mb > 0, lease.result_path,
+                     lease.log_path);
+  if (!outcome.ok()) return outcome;
   ShardError shard_error = ShardError::None;
-  const std::optional<ShardResult> shard = parse_shard_result(data, &shard_error);
+  const std::optional<ShardResult> shard =
+      parse_shard_result(outcome.result, &shard_error);
   if (!shard.has_value() || shard->cell_index != lease.cell) {
     outcome.kind = ErrorKind::Io;
     outcome.error =
         "worker result unreadable (" +
         std::string(shard.has_value() ? "wrong cell" : to_string(shard_error)) +
-        "): " + lease.result_path.string();
+        "): " + lease.result_path;
     return outcome;
   }
-  outcome.ok = true;
-  outcome.kind = ErrorKind::None;
   outcome.shard = *shard;
-  std::error_code ec;
-  fs::remove(lease.result_path, ec);
-  fs::remove(lease.log_path, ec);
+  if (!options_.keep_files) {
+    std::error_code ec;
+    fs::remove(lease.result_path, ec);
+    fs::remove(lease.log_path, ec);
+  }
   return outcome;
 }
 
@@ -201,21 +227,20 @@ std::vector<WorkerOutcome> WorkerPool::poll() {
   std::vector<WorkerOutcome> outcomes;
   for (auto it = leases_.begin(); it != leases_.end();) {
     Lease& lease = *it;
-    if (lease.proc.poll()) {
-      outcomes.push_back(harvest(lease, /*timed_out=*/false));
-      it = leases_.erase(it);
-      continue;
-    }
-    const double age_s =
-        std::chrono::duration<double>(Clock::now() - lease.started).count();
-    if (options_.cell_timeout_s > 0.0 && age_s > options_.cell_timeout_s) {
+    bool done = lease.proc.poll();
+    if (!done && options_.cell_timeout_s > 0.0 &&
+        std::chrono::duration<double>(Clock::now() - lease.started).count() >
+            options_.cell_timeout_s) {
       obs::count(obs::Counter::SuperviseKill);
       lease.proc.kill_and_reap(options_.term_grace_s);
-      outcomes.push_back(harvest(lease, /*timed_out=*/true));
-      it = leases_.erase(it);
+      done = true;
+    }
+    if (!done) {
+      ++it;
       continue;
     }
-    ++it;
+    outcomes.push_back(harvest(lease));
+    it = leases_.erase(it);
   }
   return outcomes;
 }
@@ -226,7 +251,7 @@ void WorkerPool::kill_all(double grace_s) {
     lease.proc.kill_and_reap(grace_s);
     std::error_code ec;
     fs::remove(lease.result_path, ec);
-    fs::remove(lease.log_path, ec);
+    if (!options_.keep_files) fs::remove(lease.log_path, ec);
   }
   leases_.clear();
 }

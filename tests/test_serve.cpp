@@ -650,6 +650,29 @@ TEST(ServeDaemon, WorkerCrashesRetryThenQuarantineWithoutKillingTheDaemon) {
   EXPECT_EQ(server.stop(), 0);
 }
 
+TEST(ServeDaemon, RejectsInjectSuffixesThatNameNoAttempt) {
+  ScratchDir dir("feast-serve-badinject");
+  TestServer server(base_options(dir));
+  const std::string spec_text = test_spec_text();
+
+  // Attempts are numbered from 1, so each of these could never fire: the
+  // daemon answers 400 instead of silently running the cell unpoisoned.
+  for (const std::string bad : {"crash@x", "crash@0", "crash@-1"}) {
+    const serve::HttpReply cell =
+        post(server.port(), "/v1/cell", cell_request_body(spec_text, 0, bad));
+    ASSERT_TRUE(cell.ok()) << cell.error;
+    EXPECT_EQ(cell.status, 400) << bad << ": " << cell.body;
+    const serve::HttpReply campaign =
+        post(server.port(), "/v1/campaign",
+             "{\"spec\": \"" + json_escape(spec_text) + "\", \"inject\": \"0:" +
+                 bad + "\"}");
+    ASSERT_TRUE(campaign.ok()) << campaign.error;
+    EXPECT_EQ(campaign.status, 400) << bad << ": " << campaign.body;
+  }
+  EXPECT_EQ(server.server().stats().dispatched, 0u);
+  EXPECT_EQ(server.stop(), 0);
+}
+
 TEST(ServeDaemon, FailedCellsAreRetriedOnResubmissionNotMemoizedForever) {
   ScratchDir dir("feast-serve-refail");
   serve::ServeOptions options = base_options(dir);

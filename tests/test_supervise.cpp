@@ -238,6 +238,11 @@ TEST(InjectSpec, ParsesAndValidates) {
   EXPECT_THROW(parse_inject_spec("0"), std::invalid_argument);
   EXPECT_THROW(parse_inject_spec("x:hang"), std::invalid_argument);
   EXPECT_THROW(parse_inject_spec("0:explode"), std::invalid_argument);
+  // Attempts are numbered from 1: a suffix that can never match is an error,
+  // not a poison that silently never fires.
+  EXPECT_THROW(parse_inject_spec("0:crash@x"), std::invalid_argument);
+  EXPECT_THROW(parse_inject_spec("0:crash@0"), std::invalid_argument);
+  EXPECT_THROW(parse_inject_spec("0:crash@-1"), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- fsio

@@ -3,12 +3,14 @@
 ///        resumed must produce byte-identical results.
 ///
 /// Drives check::run_torture against the real feastc binary (path baked in
-/// by CMake as FEAST_FEASTC_PATH).  Three trials rotate the first three
-/// fault families — worker death in the pool, death mid-cache-write, death
-/// before the manifest rename — so each run of this test covers a kill in
-/// every subsystem the ISSUE names: pool, cache and manifest.  Each trial
-/// asserts the faulted run actually died with check::kFaultExitCode and
-/// that the resumed manifest fingerprint equals an uninterrupted baseline's.
+/// by CMake as FEAST_FEASTC_PATH).  Seven trials rotate through every fault
+/// family — worker death in the pool, death mid-cache-write, death before
+/// the manifest rename, a torn manifest, a truncated cache record, and the
+/// supervised runner dying at a worker spawn or a harvest inside its
+/// WorkerPool.  Each trial asserts the faulted run actually died with
+/// check::kFaultExitCode and that the resumed manifest fingerprint equals an
+/// uninterrupted baseline's.  A two-trial chaos run covers the networked
+/// fabric the same way.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "check/chaos.hpp"
 #include "check/fault.hpp"
 #include "check/torture.hpp"
 
@@ -24,7 +27,7 @@ namespace {
 
 TEST(Torture, KilledCampaignsResumeToIdenticalResults) {
   TortureOptions options;
-  options.trials = 3;  // Families 0..2: pool-task, cache-store, manifest-write.
+  options.trials = 7;  // One trial per fault family.
   options.seed = 42;
   options.feastc_path = FEAST_FEASTC_PATH;
   options.work_dir = (std::filesystem::temp_directory_path() /
@@ -34,7 +37,7 @@ TEST(Torture, KilledCampaignsResumeToIdenticalResults) {
   options.log = &log;
 
   const TortureResult result = run_torture(options);
-  ASSERT_EQ(result.trials.size(), 3u);
+  ASSERT_EQ(result.trials.size(), 7u);
   for (const TortureTrial& trial : result.trials) {
     EXPECT_TRUE(trial.killed) << trial.error << "\n" << log.str();
     EXPECT_TRUE(trial.match) << trial.error << "\n" << log.str();
@@ -44,6 +47,33 @@ TEST(Torture, KilledCampaignsResumeToIdenticalResults) {
   EXPECT_NE(result.trials[0].fault_spec.find("pool-task"), std::string::npos);
   EXPECT_NE(result.trials[1].fault_spec.find("cache-store"), std::string::npos);
   EXPECT_NE(result.trials[2].fault_spec.find("manifest-write"), std::string::npos);
+  // The last two families kill the supervisor inside its worker pool.
+  EXPECT_TRUE(result.trials[5].supervised);
+  EXPECT_NE(result.trials[5].fault_spec.find("supervise-spawn"), std::string::npos);
+  EXPECT_TRUE(result.trials[6].supervised);
+  EXPECT_NE(result.trials[6].fault_spec.find("supervise-heartbeat"),
+            std::string::npos);
+}
+
+TEST(Chaos, CleanAndWorkerKillFamiliesMatchTheBaseline) {
+  ChaosOptions options;
+  options.trials = 2;  // Families 0..1: clean, worker-kill.
+  options.seed = 42;
+  options.feastc_path = FEAST_FEASTC_PATH;
+  options.work_dir = (std::filesystem::temp_directory_path() /
+                      ("feast-chaos-test-" + std::to_string(::getpid())))
+                         .string();
+  std::ostringstream log;
+  options.log = &log;
+
+  const ChaosResult result = run_chaos(options);
+  ASSERT_EQ(result.trials.size(), 2u);
+  for (const ChaosTrial& trial : result.trials) {
+    EXPECT_TRUE(trial.ok()) << trial.error << "\n" << log.str();
+    EXPECT_EQ(trial.submit_exit, 0) << log.str();
+  }
+  EXPECT_EQ(result.trials[0].family, "clean");
+  EXPECT_EQ(result.trials[1].family, "worker-kill");
 }
 
 TEST(Torture, UnresolvableBinaryFailsLoudly) {
