@@ -105,6 +105,18 @@ void write_summary_json(std::ostream& out, const char* name, const StatSummary& 
       << json_number(s.max) << ", " << json_number(s.ci95_half_width) << ']';
 }
 
+/// A cell's four summaries and its infeasible-run count, as JSON members.
+void write_stats_json(std::ostream& out, const CellStats& stats) {
+  write_summary_json(out, "max_lateness", stats.max_lateness);
+  out << ", ";
+  write_summary_json(out, "end_to_end", stats.end_to_end);
+  out << ",\n     ";
+  write_summary_json(out, "makespan", stats.makespan);
+  out << ", ";
+  write_summary_json(out, "min_laxity", stats.min_laxity);
+  out << ",\n     \"infeasible_runs\": " << stats.infeasible_runs;
+}
+
 // ------------------------------------------------------------ JSON reading
 //
 // The recursive-descent parser itself lives in util/json.hpp (it started
@@ -125,11 +137,6 @@ double json_to_double(const JsonValue& v, double fallback) {
 double number_at(const JsonValue& object, const std::string& key, double fallback = 0.0) {
   const JsonValue* v = object.find(key);
   return v != nullptr ? json_to_double(*v, fallback) : fallback;
-}
-
-std::string string_at(const JsonValue& object, const std::string& key) {
-  const JsonValue* v = object.find(key);
-  return (v != nullptr && v->type == JsonValue::Type::String) ? v->string : std::string{};
 }
 
 StatSummary summary_at(const JsonValue& object, const std::string& key) {
@@ -467,15 +474,8 @@ void write_manifest(std::ostream& out, const CampaignSpec& spec,
         << "\", \"wall_ms\": " << json_number(cell.wall_ms)
         << ", \"attempts\": " << cell.attempts << ", \"error_kind\": \""
         << json_escape(cell.error_kind) << "\",\n     ";
-    write_summary_json(out, "max_lateness", cell.stats.max_lateness);
-    out << ", ";
-    write_summary_json(out, "end_to_end", cell.stats.end_to_end);
-    out << ",\n     ";
-    write_summary_json(out, "makespan", cell.stats.makespan);
-    out << ", ";
-    write_summary_json(out, "min_laxity", cell.stats.min_laxity);
-    out << ",\n     \"infeasible_runs\": " << cell.stats.infeasible_runs
-        << ", \"error\": \"" << json_escape(cell.error) << "\"}";
+    write_stats_json(out, cell.stats);
+    out << ", \"error\": \"" << json_escape(cell.error) << "\"}";
     out << (i + 1 < result.cells.size() ? ",\n" : "\n");
   }
   out << "  ]\n";
@@ -496,9 +496,9 @@ Manifest read_manifest(std::istream& in) {
     throw std::runtime_error("manifest: unsupported version " +
                              std::to_string(manifest.version));
   }
-  manifest.name = string_at(root, "name");
-  manifest.spec_hash_hex = string_at(root, "spec_hash");
-  manifest.spec_text = string_at(root, "spec_text");
+  manifest.name = root.string_or("name");
+  manifest.spec_hash_hex = root.string_or("spec_hash");
+  manifest.spec_text = root.string_or("spec_text");
   manifest.samples = static_cast<int>(number_at(root, "samples"));
   if (const JsonValue* totals = root.find("totals")) {
     manifest.wall_ms = number_at(*totals, "wall_ms");
@@ -517,11 +517,11 @@ Manifest read_manifest(std::istream& in) {
       throw std::runtime_error("manifest: cell entry is not an object");
     }
     CellOutcome cell;
-    cell.strategy_label = string_at(entry, "strategy");
-    cell.strategy_spec = string_at(entry, "spec");
+    cell.strategy_label = entry.string_or("strategy");
+    cell.strategy_spec = entry.string_or("spec");
     cell.n_procs = static_cast<int>(number_at(entry, "procs"));
-    cell.key_hex = string_at(entry, "key");
-    cell.state = cell_state_from(string_at(entry, "state"));
+    cell.key_hex = entry.string_or("key");
+    cell.state = cell_state_from(entry.string_or("state"));
     cell.wall_ms = number_at(entry, "wall_ms");
     cell.stats.max_lateness = summary_at(entry, "max_lateness");
     cell.stats.end_to_end = summary_at(entry, "end_to_end");
@@ -529,9 +529,9 @@ Manifest read_manifest(std::istream& in) {
     cell.stats.min_laxity = summary_at(entry, "min_laxity");
     cell.stats.infeasible_runs =
         static_cast<std::size_t>(number_at(entry, "infeasible_runs"));
-    cell.error = string_at(entry, "error");
+    cell.error = entry.string_or("error");
     cell.attempts = static_cast<int>(number_at(entry, "attempts"));  // v2; 0 in v1.
-    cell.error_kind = string_at(entry, "error_kind");
+    cell.error_kind = entry.string_or("error_kind");
     manifest.cells.push_back(std::move(cell));
   }
   return manifest;
@@ -943,14 +943,8 @@ void write_manifest_status_json(std::ostream& out, const Manifest& manifest) {
         << json_escape(cell.error_kind) << "\", \"error\": \""
         << json_escape(cell.error)
         << "\", \"wall_ms\": " << json_number(cell.wall_ms) << ",\n     ";
-    write_summary_json(out, "max_lateness", cell.stats.max_lateness);
-    out << ", ";
-    write_summary_json(out, "end_to_end", cell.stats.end_to_end);
-    out << ",\n     ";
-    write_summary_json(out, "makespan", cell.stats.makespan);
-    out << ", ";
-    write_summary_json(out, "min_laxity", cell.stats.min_laxity);
-    out << ",\n     \"infeasible_runs\": " << cell.stats.infeasible_runs << "}";
+    write_stats_json(out, cell.stats);
+    out << "}";
     out << (i + 1 < manifest.cells.size() ? ",\n" : "\n");
   }
   out << "  ]\n";

@@ -313,6 +313,17 @@ long long parse_int_arg(const std::string& flag, const std::string& text) {
   }
 }
 
+/// Parses a --faults spec ("" = none) into \p plan; a malformed spec is a
+/// usage error.
+void parse_faults_arg(const std::string& spec, std::optional<check::FaultPlan>& plan) {
+  if (spec.empty()) return;
+  try {
+    plan.emplace(spec);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("--faults: ") + e.what());
+  }
+}
+
 std::pair<int, int> parse_range_arg(const std::string& flag, const std::string& text) {
   const auto pieces = split(text, ':');
   if (pieces.size() != 2) throw UsageError(flag + " wants A:B, got '" + text + "'");
@@ -724,6 +735,36 @@ int cmd_simulate(Args& args, std::istream& in, std::ostream& out) {
 
 // ----------------------------------------------------------------- campaign
 
+/// Parses \p flag when it is one of the worker-supervision flags `campaign
+/// run` and `serve` share (SupervisorOptions and ServeOptions name these
+/// fields alike).  Returns false for any other flag.
+template <class WorkerOptions>
+bool parse_worker_flag(const std::string& flag, Args& args,
+                       WorkerOptions& options) {
+  const auto seconds = [&](double& value) {
+    value = parse_double_arg(flag, args.value_for(flag));
+    if (value < 0.0) throw UsageError(flag + " must be >= 0");
+  };
+  if (flag == "--cell-timeout") {
+    seconds(options.cell_timeout_s);
+  } else if (flag == "--term-grace") {
+    seconds(options.term_grace_s);
+  } else if (flag == "--drain-grace") {
+    seconds(options.drain_grace_s);
+  } else if (flag == "--max-attempts") {
+    const long long n = parse_int_arg(flag, args.value_for(flag));
+    if (n < 1) throw UsageError("--max-attempts must be positive");
+    options.max_attempts = static_cast<int>(n);
+  } else if (flag == "--mem-limit") {
+    const long long n = parse_int_arg(flag, args.value_for(flag));
+    if (n < 0) throw UsageError("--mem-limit must be non-negative");
+    options.memory_limit_mb = static_cast<std::uint64_t>(n);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// Worker verb of the supervised runner (spawned by the supervisor, not
 /// documented in the usage text): executes exactly one cell and writes the
 /// shard-result file the supervisor merges.
@@ -813,6 +854,7 @@ int cmd_campaign(Args& args, std::ostream& out) {
 
   while (!args.done()) {
     const std::string flag = args.pop();
+    if (parse_worker_flag(flag, args, sup)) continue;
     if (flag == "--manifest") {
       manifest_path = args.value_for(flag);
     } else if (flag == "--cache-dir") {
@@ -839,29 +881,12 @@ int cmd_campaign(Args& args, std::ostream& out) {
       const long long n = parse_int_arg(flag, args.value_for(flag));
       if (n < 1) throw UsageError("--workers must be positive");
       sup.workers = static_cast<int>(n);
-    } else if (flag == "--cell-timeout") {
-      sup.cell_timeout_s = parse_double_arg(flag, args.value_for(flag));
-      if (sup.cell_timeout_s < 0.0) throw UsageError("--cell-timeout must be >= 0");
-    } else if (flag == "--term-grace") {
-      sup.term_grace_s = parse_double_arg(flag, args.value_for(flag));
-      if (sup.term_grace_s < 0.0) throw UsageError("--term-grace must be >= 0");
-    } else if (flag == "--drain-grace") {
-      sup.drain_grace_s = parse_double_arg(flag, args.value_for(flag));
-      if (sup.drain_grace_s < 0.0) throw UsageError("--drain-grace must be >= 0");
-    } else if (flag == "--max-attempts") {
-      const long long n = parse_int_arg(flag, args.value_for(flag));
-      if (n < 1) throw UsageError("--max-attempts must be positive");
-      sup.max_attempts = static_cast<int>(n);
     } else if (flag == "--backoff-base") {
       sup.backoff.base_ms = parse_double_arg(flag, args.value_for(flag));
       if (sup.backoff.base_ms < 0.0) throw UsageError("--backoff-base must be >= 0");
     } else if (flag == "--backoff-cap") {
       sup.backoff.cap_ms = parse_double_arg(flag, args.value_for(flag));
       if (sup.backoff.cap_ms < 0.0) throw UsageError("--backoff-cap must be >= 0");
-    } else if (flag == "--mem-limit") {
-      const long long n = parse_int_arg(flag, args.value_for(flag));
-      if (n < 0) throw UsageError("--mem-limit must be non-negative");
-      sup.memory_limit_mb = static_cast<std::uint64_t>(n);
     } else if (flag == "--work-dir") {
       sup.work_dir = args.value_for(flag);
     } else if (flag == "--keep-work") {
@@ -893,14 +918,8 @@ int cmd_campaign(Args& args, std::ostream& out) {
 
   CampaignSpec spec = CampaignSpec::parse_file(*spec_path);
   std::optional<check::FaultPlan> faults;
-  if (!fault_spec.empty()) {
-    try {
-      faults.emplace(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(std::string("--faults: ") + e.what());
-    }
-    spec.context.faults = &*faults;
-  }
+  parse_faults_arg(fault_spec, faults);
+  if (faults) spec.context.faults = &*faults;
   CampaignOptions options;
   options.manifest_path = manifest_path.value_or(spec.name + ".manifest.json");
   options.resume = verb == "resume";
@@ -1210,6 +1229,7 @@ int cmd_serve(Args& args, std::ostream& out) {
 
   while (!args.done()) {
     const std::string flag = args.pop();
+    if (parse_worker_flag(flag, args, options)) continue;
     if (flag == "--host") {
       options.host = args.value_for(flag);
     } else if (flag == "--port") {
@@ -1228,29 +1248,12 @@ int cmd_serve(Args& args, std::ostream& out) {
       const long long n = parse_int_arg(flag, args.value_for(flag));
       if (n < 1) throw UsageError("--max-connections must be positive");
       options.max_connections = static_cast<int>(n);
-    } else if (flag == "--max-attempts") {
-      const long long n = parse_int_arg(flag, args.value_for(flag));
-      if (n < 1) throw UsageError("--max-attempts must be positive");
-      options.max_attempts = static_cast<int>(n);
-    } else if (flag == "--cell-timeout") {
-      options.cell_timeout_s = parse_double_arg(flag, args.value_for(flag));
-      if (options.cell_timeout_s < 0.0) throw UsageError("--cell-timeout must be >= 0");
-    } else if (flag == "--term-grace") {
-      options.term_grace_s = parse_double_arg(flag, args.value_for(flag));
-      if (options.term_grace_s < 0.0) throw UsageError("--term-grace must be >= 0");
-    } else if (flag == "--drain-grace") {
-      options.drain_grace_s = parse_double_arg(flag, args.value_for(flag));
-      if (options.drain_grace_s < 0.0) throw UsageError("--drain-grace must be >= 0");
     } else if (flag == "--header-timeout") {
       options.header_timeout_s = parse_double_arg(flag, args.value_for(flag));
       if (options.header_timeout_s <= 0.0) throw UsageError("--header-timeout must be > 0");
     } else if (flag == "--idle-timeout") {
       options.idle_timeout_s = parse_double_arg(flag, args.value_for(flag));
       if (options.idle_timeout_s <= 0.0) throw UsageError("--idle-timeout must be > 0");
-    } else if (flag == "--mem-limit") {
-      const long long n = parse_int_arg(flag, args.value_for(flag));
-      if (n < 0) throw UsageError("--mem-limit must be non-negative");
-      options.memory_limit_mb = static_cast<std::uint64_t>(n);
     } else if (flag == "--threads") {
       const long long n = parse_int_arg(flag, args.value_for(flag));
       if (n < 1) throw UsageError("--threads must be positive");
@@ -1294,15 +1297,8 @@ int cmd_serve(Args& args, std::ostream& out) {
   if (!quiet) options.log = &out;
 
   std::optional<check::FaultPlan> faults;
-  std::optional<check::ScopedFaultPlan> scoped_faults;
-  if (!fault_spec.empty()) {
-    try {
-      faults.emplace(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(std::string("--faults: ") + e.what());
-    }
-    scoped_faults.emplace(&*faults);
-  }
+  parse_faults_arg(fault_spec, faults);
+  check::ScopedFaultPlan scoped_faults(faults ? &*faults : nullptr);
 
   serve::Server server(std::move(options));
   server.start();
@@ -1506,15 +1502,8 @@ int cmd_worker(Args& args, std::ostream& out) {
   if (!quiet) options.log = &out;
 
   std::optional<check::FaultPlan> faults;
-  std::optional<check::ScopedFaultPlan> scoped_faults;
-  if (!fault_spec.empty()) {
-    try {
-      faults.emplace(fault_spec);
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(std::string("--faults: ") + e.what());
-    }
-    scoped_faults.emplace(&*faults);
-  }
+  parse_faults_arg(fault_spec, faults);
+  check::ScopedFaultPlan scoped_faults(faults ? &*faults : nullptr);
 
   return serve::run_remote_worker(options);
 }
@@ -1657,23 +1646,34 @@ int cmd_diffsched(Args& args, std::ostream& out) {
 
 // ------------------------------------------------------------------ torture
 
+/// Parses \p flag when it is one of the trial flags `torture` and `chaos`
+/// share (TortureOptions and ChaosOptions name these fields alike).
+/// Returns false for any other flag.
+template <class TrialOptions>
+bool parse_trial_flag(const std::string& flag, Args& args, TrialOptions& options) {
+  if (flag == "--trials") {
+    options.trials = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
+    if (options.trials < 1) throw UsageError("--trials must be positive");
+  } else if (flag == "--seed") {
+    options.seed =
+        static_cast<std::uint64_t>(parse_int_arg(flag, args.value_for(flag)));
+  } else if (flag == "--work-dir") {
+    options.work_dir = args.value_for(flag);
+  } else if (flag == "--feastc") {
+    options.feastc_path = args.value_for(flag);
+  } else if (flag == "--keep") {
+    options.keep_work_dir = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 int cmd_torture(Args& args, std::ostream& out) {
   check::TortureOptions options;
   while (!args.done()) {
     const std::string flag = args.pop();
-    if (flag == "--trials") {
-      options.trials = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
-      if (options.trials < 1) throw UsageError("--trials must be positive");
-    } else if (flag == "--seed") {
-      options.seed =
-          static_cast<std::uint64_t>(parse_int_arg(flag, args.value_for(flag)));
-    } else if (flag == "--work-dir") {
-      options.work_dir = args.value_for(flag);
-    } else if (flag == "--feastc") {
-      options.feastc_path = args.value_for(flag);
-    } else if (flag == "--keep") {
-      options.keep_work_dir = true;
-    } else {
+    if (!parse_trial_flag(flag, args, options)) {
       throw UsageError("torture: unknown option '" + flag + "'");
     }
   }
@@ -1691,26 +1691,15 @@ int cmd_chaos(Args& args, std::ostream& out) {
   check::ChaosOptions options;
   while (!args.done()) {
     const std::string flag = args.pop();
-    if (flag == "--trials") {
-      options.trials = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
-      if (options.trials < 1) throw UsageError("--trials must be positive");
-    } else if (flag == "--seed") {
-      options.seed =
-          static_cast<std::uint64_t>(parse_int_arg(flag, args.value_for(flag)));
-    } else if (flag == "--workers") {
+    if (parse_trial_flag(flag, args, options)) continue;
+    if (flag == "--workers") {
       options.workers = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
       if (options.workers < 1) throw UsageError("--workers must be positive");
-    } else if (flag == "--work-dir") {
-      options.work_dir = args.value_for(flag);
-    } else if (flag == "--feastc") {
-      options.feastc_path = args.value_for(flag);
     } else if (flag == "--timeout") {
       options.subprocess_timeout_s = parse_double_arg(flag, args.value_for(flag));
       if (options.subprocess_timeout_s <= 0.0) {
         throw UsageError("--timeout must be > 0");
       }
-    } else if (flag == "--keep") {
-      options.keep_work_dir = true;
     } else {
       throw UsageError("chaos: unknown option '" + flag + "'");
     }

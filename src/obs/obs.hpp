@@ -70,9 +70,9 @@ enum class Counter : std::uint8_t {
   PoolSteal,    ///< Pool: task acquired from another worker's deque.
   PoolSleep,    ///< Pool: worker went idle (blocked on the sleep cv).
   SuperviseSpawn,       ///< Supervisor: worker subprocess spawned.
-  SuperviseRetry,       ///< Supervisor: failed attempt requeued (backoff).
+  SuperviseRetry,       ///< Attempt ledger: failed attempt requeued (backoff).
   SuperviseKill,        ///< Supervisor: watchdog SIGTERM/SIGKILL issued.
-  SuperviseQuarantine,  ///< Supervisor: cell quarantined (retry budget spent).
+  SuperviseQuarantine,  ///< Attempt ledger: cell quarantined (budget or poison).
   ShardCorrupt,    ///< Shard result rejected: checksum/field corruption.
   ShardTruncated,  ///< Shard result rejected: short read / missing tail.
   ServeAccept,     ///< Serve: TCP connection accepted.

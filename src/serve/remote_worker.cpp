@@ -39,11 +39,6 @@ bool stopped(const std::atomic<bool>* stop) {
   return stop != nullptr && stop->load(std::memory_order_acquire);
 }
 
-std::string json_str(const JsonValue& root, const char* key) {
-  const JsonValue* v = root.find(key);
-  return (v != nullptr && v->type == JsonValue::Type::String) ? v->string : "";
-}
-
 double json_num(const JsonValue& root, const char* key, double fallback) {
   const JsonValue* v = root.find(key);
   return (v != nullptr && v->type == JsonValue::Type::Number) ? v->number
@@ -108,7 +103,7 @@ int run_remote_worker(const RemoteWorkerOptions& options,
       if (reply.status == 200) {
         try {
           const JsonValue root = parse_json(reply.body);
-          worker_id = json_str(root, "worker");
+          worker_id = root.string_or("worker");
           poll_ms = json_num(root, "poll_ms", poll_ms);
         } catch (const std::exception&) {
           worker_id.clear();
@@ -239,9 +234,9 @@ int run_remote_worker(const RemoteWorkerOptions& options,
         stoppable_sleep(poll_ms, stop);
         continue;
       }
-      lease.token = json_str(root, "lease");
-      lease.spec = json_str(root, "spec");
-      lease.inject = json_str(root, "inject");
+      lease.token = root.string_or("lease");
+      lease.spec = root.string_or("spec");
+      lease.inject = root.string_or("inject");
       lease.cell = static_cast<std::size_t>(json_num(root, "cell", 0.0));
       lease.timeout_s = json_num(root, "timeout_s", 0.0);
       lease.threads = static_cast<unsigned>(

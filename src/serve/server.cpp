@@ -14,7 +14,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
+#include "supervise/attempts.hpp"
 #include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
@@ -68,6 +68,13 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Closes the \p span that \p sink has had open since \p start_ns, if any.
+void end_span(obs::Sink*& sink, obs::Span span, std::uint64_t start_ns) {
+  if (sink == nullptr) return;
+  obs::detail::record_span(*sink, span, start_ns);
+  sink = nullptr;
+}
+
 // --------------------------------------------------------------- the model
 
 /// One open client connection.
@@ -109,7 +116,7 @@ struct CellJob {
   std::string canonical;
   std::string inject;
   std::string client;  ///< Fair-queue owner (first submitter).
-  int attempts = 0;    ///< Worker attempts consumed so far.
+  supervise::AttemptLedger ledger;  ///< Attempts charged, workers lost.
   State state = State::Queued;
   supervise::ShardResult shard;          ///< Valid once Done.
   supervise::ErrorKind kind = supervise::ErrorKind::None;
@@ -124,8 +131,6 @@ struct CellJob {
   std::string lease;            ///< Lease token while Running on a remote.
   std::string lease_worker;     ///< Worker id holding the lease.
   Clock::time_point lease_deadline{};  ///< Requeue uncharged past this.
-  std::set<std::string> dead_workers;  ///< Distinct worker names that died
-                                       ///< holding this cell (poison count).
   obs::Sink* lease_sink = nullptr;     ///< serve/lease span: grant → settle.
   std::uint64_t lease_span_start_ns = 0;
 
@@ -319,11 +324,7 @@ struct Server::Impl {
                                         !conn.close_after_write, extra_headers);
     replies.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::ServeReply);
-    if (conn.sink != nullptr) {
-      obs::detail::record_span(*conn.sink, obs::Span::ServeRequest,
-                               conn.span_start_ns);
-      conn.sink = nullptr;
-    }
+    end_span(conn.sink, obs::Span::ServeRequest, conn.span_start_ns);
     conn.waiting = false;
     conn.parser.reset();
     // Bytes pipelined behind this reply may already hold a complete next
@@ -343,13 +344,19 @@ struct Server::Impl {
                   {{"Retry-After", std::to_string(opt.retry_after_s)}});
   }
 
-  /// Renders the /v1/cell success body from a terminal Done job.
-  std::string cell_body(const CellJob& job) {
+  /// Answers \p conn_id with terminal \p job: 200 and its stats when Done,
+  /// else 500 carrying the quarantine taxonomy.
+  void reply_cell(std::uint64_t conn_id, const CellJob& job) {
+    if (job.state != CellJob::State::Done) {
+      reply_json(conn_id, 500, error_body(job.error, supervise::to_string(job.kind)));
+      return;
+    }
     std::string out = "{\"cell\": " + std::to_string(job.cell_index) +
                       ", \"state\": \"" +
                       (job.shard.from_cache ? "cached" : "computed") +
                       "\", \"wall_ms\": " + json_number(job.shard.wall_ms) +
-                      ", \"attempts\": " + std::to_string(job.attempts) + ",\n ";
+                      ", \"attempts\": " + std::to_string(job.ledger.attempts()) +
+                      ",\n ";
     append_summary_json(out, "max_lateness", job.shard.stats.max_lateness);
     out += ", ";
     append_summary_json(out, "end_to_end", job.shard.stats.end_to_end);
@@ -359,7 +366,7 @@ struct Server::Impl {
     append_summary_json(out, "min_laxity", job.shard.stats.min_laxity);
     out += ",\n \"infeasible_runs\": " +
            std::to_string(job.shard.stats.infeasible_runs) + "}\n";
-    return out;
+    reply_json(conn_id, 200, out);
   }
 
   /// Builds the status-JSON view of one campaign job.
@@ -433,19 +440,8 @@ struct Server::Impl {
   /// Applies a terminal cell job to every waiter: single-cell replies and
   /// campaign rows, checkpointing and finishing campaigns as they complete.
   void settle_job(CellJob& job) {
-    if (job.sink != nullptr) {
-      obs::detail::record_span(*job.sink, obs::Span::ServeDispatch,
-                               job.span_start_ns);
-      job.sink = nullptr;
-    }
-    for (const std::uint64_t waiter : job.waiters) {
-      if (job.state == CellJob::State::Done) {
-        reply_json(waiter, 200, cell_body(job));
-      } else {
-        reply_json(waiter, 500,
-                   error_body(job.error, supervise::to_string(job.kind)));
-      }
-    }
+    end_span(job.sink, obs::Span::ServeDispatch, job.span_start_ns);
+    for (const std::uint64_t waiter : job.waiters) reply_cell(waiter, job);
     job.waiters.clear();
     std::vector<CampaignLink> links;
     links.swap(job.campaigns);
@@ -462,20 +458,11 @@ struct Server::Impl {
   }
 
   static void apply_job_to_cell(const CellJob& job, CellOutcome& cell) {
-    cell.attempts = job.attempts;
     if (job.state == CellJob::State::Done) {
-      cell.state =
-          job.shard.from_cache ? CellState::Cached : CellState::Computed;
-      cell.stats = job.shard.stats;
-      cell.wall_ms = job.shard.wall_ms;
-      cell.error.clear();
-      cell.error_kind.clear();
+      supervise::record_success(cell, job.shard, job.ledger.attempts());
     } else {
-      // Retry budget spent: the quarantine verdict, exactly like the
-      // supervised runner — the campaign completes degraded around it.
-      cell.state = CellState::Quarantined;
-      cell.error = job.error;
-      cell.error_kind = supervise::to_string(job.kind);
+      supervise::record_quarantine(cell, job.ledger.attempts(), job.kind,
+                                   job.error);
     }
   }
 
@@ -487,51 +474,83 @@ struct Server::Impl {
       const std::string key = next_queued();
       if (key.empty()) return;
       CellJob& job = jobs[key];
-      const std::string inject =
-          supervise::inject_for_attempt(job.inject, job.attempts + 1);
+      const std::string inject = job.ledger.start(job.inject);
       try {
         job.ticket = pool->submit(job.spec_path, job.cell_index, inject);
       } catch (const std::exception& e) {
-        ++job.attempts;
         fail_or_retry(job, supervise::ErrorKind::Io, e.what());
         continue;
       }
-      ++job.attempts;
       job.state = CellJob::State::Running;
       dispatched.fetch_add(1, std::memory_order_relaxed);
       obs::count(obs::Counter::ServeDispatch);
     }
   }
 
+  /// Hands a failed attempt to the job's ledger.  Inside the drain window
+  /// the attempt is released instead and the cell is turned away exactly
+  /// like never-dispatched work.
   void fail_or_retry(CellJob& job, supervise::ErrorKind kind, std::string error) {
-    if (job.attempts < opt.max_attempts && !draining) {
-      job.state = CellJob::State::Queued;
-      enqueue(job);
-      obs::count(obs::Counter::SuperviseRetry);
+    if (!draining) {
+      apply_verdict(job, job.ledger.fail(kind, std::move(error)));
       return;
     }
+    job.ledger.release();
+    job.state = CellJob::State::Queued;
+    turn_away(job);
+  }
+
+  /// Acts on a ledger verdict: requeue \p job at once (serve's zero backoff
+  /// makes every retry due now), or settle it as Failed.
+  void apply_verdict(CellJob& job, supervise::AttemptVerdict verdict) {
+    const std::string cell = "cell " + std::to_string(job.cell_index);
+    if (!verdict.quarantined()) {
+      if (verdict.action == supervise::AttemptVerdict::Action::Requeue) {
+        log_line(cell + " requeued uncharged (" + verdict.error + ")");
+      }
+      job.state = CellJob::State::Queued;
+      enqueue(job);
+      return;
+    }
+    log_line(cell + " quarantined after " + std::to_string(verdict.attempts) +
+             " attempts [" + supervise::to_string(verdict.kind) + "] — " +
+             verdict.error);
     job.state = CellJob::State::Failed;
-    job.kind = kind;
-    job.error = std::move(error);
+    job.kind = verdict.kind;
+    job.error = std::move(verdict.error);
     failed.fetch_add(1, std::memory_order_relaxed);
-    obs::count(obs::Counter::SuperviseQuarantine);
-    log_line("cell " + std::to_string(job.cell_index) + " failed after " +
-             std::to_string(job.attempts) + " attempts [" +
-             supervise::to_string(kind) + "] — " + job.error);
     settle_job(job);
+  }
+
+  /// Drain: answers \p job's waiters 503 and detaches its campaign rows,
+  /// which stay Pending in the checkpoint.
+  void turn_away(CellJob& job) {
+    turn_away(job.waiters);
+    job.campaigns.clear();
+  }
+
+  void turn_away(std::vector<std::uint64_t>& waiters) {
+    for (const std::uint64_t waiter : waiters) {
+      reply_json(waiter, 503, error_body("draining: resubmit after restart"));
+    }
+    waiters.clear();
+  }
+
+  /// The Running job \p match accepts (by pool ticket or lease token), or
+  /// nullptr when it expired or settled.
+  template <class Match>
+  CellJob* running_job(Match match) {
+    for (auto& [key, job] : jobs) {
+      if (job.state == CellJob::State::Running && match(job)) return &job;
+    }
+    return nullptr;
   }
 
   void harvest() {
     if (!pool) return;
     for (supervise::WorkerOutcome& outcome : pool->poll()) {
-      CellJob* job = nullptr;
-      for (auto& [key, candidate] : jobs) {
-        if (candidate.state == CellJob::State::Running &&
-            candidate.ticket == outcome.ticket) {
-          job = &candidate;
-          break;
-        }
-      }
+      CellJob* job = running_job(
+          [&](const CellJob& j) { return j.ticket == outcome.ticket; });
       if (job == nullptr) continue;  // Lease already abandoned (drain).
       job->ticket = 0;
       if (outcome.ok()) {
@@ -556,42 +575,16 @@ struct Server::Impl {
       job.lease.clear();
       job.lease_worker.clear();
     }
-    if (job.lease_sink != nullptr) {
-      obs::detail::record_span(*job.lease_sink, obs::Span::ServeLease,
-                               job.lease_span_start_ns);
-      job.lease_sink = nullptr;
-    }
+    end_span(job.lease_sink, obs::Span::ServeLease, job.lease_span_start_ns);
   }
 
-  /// A worker died (or vanished) while holding \p job: requeue it
-  /// *uncharged* — the attempt never produced a verdict on the cell, same
-  /// as drain-killed local attempts — unless enough distinct workers have
-  /// now died holding it, in which case the cell itself is the suspect:
-  /// cross-worker poison, quarantined under the `net` taxonomy.
+  /// A worker died (or vanished) while holding \p job: the ledger requeues
+  /// it uncharged, or quarantines it as `net` cross-worker poison.
   void abandon_lease(CellJob& job, const std::string& worker_name,
                      const std::string& why) {
     release_lease(job);
-    if (job.attempts > 0) --job.attempts;  // Uncharged requeue.
     requeued.fetch_add(1, std::memory_order_relaxed);
-    job.dead_workers.insert(worker_name);
-    if (static_cast<int>(job.dead_workers.size()) >= opt.poison_worker_deaths) {
-      job.state = CellJob::State::Failed;
-      job.kind = supervise::ErrorKind::Net;
-      job.error = "cross-worker poison: " +
-                  std::to_string(job.dead_workers.size()) +
-                  " distinct workers lost while running this cell (last '" +
-                  worker_name + "': " + why + ")";
-      failed.fetch_add(1, std::memory_order_relaxed);
-      obs::count(obs::Counter::SuperviseQuarantine);
-      log_line("cell " + std::to_string(job.cell_index) +
-               " quarantined [net] — " + job.error);
-      settle_job(job);
-      return;
-    }
-    job.state = CellJob::State::Queued;
-    enqueue(job);
-    log_line("cell " + std::to_string(job.cell_index) +
-             " requeued uncharged (" + why + ")");
+    apply_verdict(job, job.ledger.lost(worker_name, why));
   }
 
   /// Deregisters \p worker_id and requeues every cell it held.
@@ -659,7 +652,7 @@ struct Server::Impl {
 
   CellJob& resolve_cell(const std::string& spec_hash, const std::string& spec_path,
                         const PlannedCell& cell, const std::string& inject,
-                        const std::string& client, bool& created) {
+                        const std::string& client) {
     std::string key = cell.canonical.empty()
                           ? spec_hash + ":" + std::to_string(cell.index)
                           : cell.canonical;
@@ -674,7 +667,6 @@ struct Server::Impl {
       it = jobs.end();
     }
     if (it != jobs.end()) {
-      created = false;
       dedup_hits.fetch_add(1, std::memory_order_relaxed);
       obs::count(obs::Counter::ServeDedup);
       return it->second;
@@ -682,7 +674,6 @@ struct Server::Impl {
     if (queue_depth() >= static_cast<std::size_t>(opt.max_queue)) {
       throw AdmissionShed{};
     }
-    created = true;
     CellJob& job = jobs[key];
     job.key = key;
     job.spec_path = spec_path;
@@ -690,6 +681,9 @@ struct Server::Impl {
     job.canonical = cell.canonical;
     job.inject = inject;
     job.client = client;
+    // Zero backoff: a failed attempt goes straight back on its queue.
+    job.ledger = supervise::AttemptLedger(
+        {opt.max_attempts, {0.0, 0.0, 0}, opt.poison_worker_deaths}, cell.index);
     if ((job.sink = obs::active()) != nullptr) {
       job.span_start_ns = obs::detail::now_ns(*job.sink);
     }
@@ -704,11 +698,7 @@ struct Server::Impl {
         job.shard.stats = stats;
         cache_hits.fetch_add(1, std::memory_order_relaxed);
         obs::count(obs::Counter::CacheHit);
-        if (job.sink != nullptr) {
-          obs::detail::record_span(*job.sink, obs::Span::ServeDispatch,
-                                   job.span_start_ns);
-          job.sink = nullptr;
-        }
+        end_span(job.sink, obs::Span::ServeDispatch, job.span_start_ns);
         note_terminal(job);
         return job;
       }
@@ -717,6 +707,25 @@ struct Server::Impl {
     job.state = CellJob::State::Queued;
     enqueue(job);
     return job;
+  }
+
+  /// Parses a request's spec text and plans its cells; a bad spec is
+  /// answered 400 and returns false.
+  bool parse_spec(Conn& conn, const std::string& text, CampaignSpec& spec,
+                  std::vector<Strategy>& strategies,
+                  std::vector<PlannedCell>& plan) {
+    try {
+      std::istringstream in(text);
+      spec = CampaignSpec::parse(in);
+      for (const std::string& s : spec.strategies) {
+        strategies.push_back(parse_strategy_spec(s));
+      }
+      plan = plan_cells(spec, strategies);
+      return true;
+    } catch (const std::exception& e) {
+      reply_json(conn.id, 400, error_body(std::string("bad spec: ") + e.what()));
+      return false;
+    }
   }
 
   void handle_cell_request(Conn& conn, const JsonValue& root) {
@@ -745,18 +754,7 @@ struct Server::Impl {
     CampaignSpec spec;
     std::vector<Strategy> strategies;
     std::vector<PlannedCell> plan;
-    try {
-      std::istringstream in(spec_value->string);
-      spec = CampaignSpec::parse(in);
-      strategies.reserve(spec.strategies.size());
-      for (const std::string& s : spec.strategies) {
-        strategies.push_back(parse_strategy_spec(s));
-      }
-      plan = plan_cells(spec, strategies);
-    } catch (const std::exception& e) {
-      reply_json(conn.id, 400, error_body(std::string("bad spec: ") + e.what()));
-      return;
-    }
+    if (!parse_spec(conn, spec_value->string, spec, strategies, plan)) return;
     // Validate in double space before any cast: an untrusted value like
     // 1e300 or 0.5 must never reach the double→size_t conversion (UB when
     // out of range, silent truncation when fractional).
@@ -773,16 +771,11 @@ struct Server::Impl {
     const std::string spec_hash = hash_hex(fnv1a64(spec.canonical_text()));
     const std::string spec_path = spec_file_for(spec_hash, spec.canonical_text());
 
-    bool created = false;
     try {
       CellJob& job =
-          resolve_cell(spec_hash, spec_path, plan[index], inject, conn.client,
-                       created);
-      if (job.state == CellJob::State::Done) {
-        reply_json(conn.id, 200, cell_body(job));
-      } else if (job.state == CellJob::State::Failed) {
-        reply_json(conn.id, 500,
-                   error_body(job.error, supervise::to_string(job.kind)));
+          resolve_cell(spec_hash, spec_path, plan[index], inject, conn.client);
+      if (job.terminal()) {
+        reply_cell(conn.id, job);
       } else {
         job.waiters.push_back(conn.id);
         conn.waiting = true;
@@ -816,18 +809,7 @@ struct Server::Impl {
     CampaignSpec spec;
     std::vector<Strategy> strategies;
     std::vector<PlannedCell> plan;
-    try {
-      std::istringstream in(spec_value->string);
-      spec = CampaignSpec::parse(in);
-      strategies.reserve(spec.strategies.size());
-      for (const std::string& s : spec.strategies) {
-        strategies.push_back(parse_strategy_spec(s));
-      }
-      plan = plan_cells(spec, strategies);
-    } catch (const std::exception& e) {
-      reply_json(conn.id, 400, error_body(std::string("bad spec: ") + e.what()));
-      return;
-    }
+    if (!parse_spec(conn, spec_value->string, spec, strategies, plan)) return;
     const std::string spec_hash = hash_hex(fnv1a64(spec.canonical_text()));
 
     // A campaign of the same spec already in flight: share it.  Injected
@@ -890,7 +872,6 @@ struct Server::Impl {
     for (std::size_t i = 0; i < plan.size(); ++i) {
       CellOutcome& cell = job.result.cells[i];
       if (cell.state != CellState::Pending) continue;
-      bool created = false;
       std::string inject;
       if (const auto inj = injects.find(i); inj != injects.end()) {
         inject = inj->second;
@@ -899,8 +880,8 @@ struct Server::Impl {
       // except under a racing queue, in which case the cell is quarantined
       // as shed rather than failing the whole submission.
       try {
-        CellJob& cell_job = resolve_cell(spec_hash, spec_path, plan[i], inject,
-                                         conn.client, created);
+        CellJob& cell_job =
+            resolve_cell(spec_hash, spec_path, plan[i], inject, conn.client);
         if (cell_job.terminal()) {
           apply_job_to_cell(cell_job, cell);
         } else {
@@ -908,9 +889,8 @@ struct Server::Impl {
           ++job.outstanding;
         }
       } catch (const AdmissionShed&) {
-        cell.state = CellState::Quarantined;
-        cell.error = "shed by admission control";
-        cell.error_kind = "io";
+        supervise::record_quarantine(cell, 0, supervise::ErrorKind::Io,
+                                     "shed by admission control");
       }
     }
     checkpoint(job);
@@ -992,9 +972,7 @@ struct Server::Impl {
       return;
     }
     CellJob& job = jobs.find(key)->second;
-    const std::string inject =
-        supervise::inject_for_attempt(job.inject, job.attempts + 1);
-    ++job.attempts;
+    const std::string inject = job.ledger.start(job.inject);
     std::ifstream spec_in(job.spec_path, std::ios::binary);
     std::ostringstream spec_text;
     spec_text << spec_in.rdbuf();
@@ -1028,16 +1006,6 @@ struct Server::Impl {
     reply_json(conn.id, 200, body);
   }
 
-  /// The Running job holding \p lease, nullptr when it expired or settled.
-  CellJob* find_lease(const std::string& lease) {
-    for (auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Running && job.lease == lease) {
-        return &job;
-      }
-    }
-    return nullptr;
-  }
-
   void handle_worker_result(Conn& conn, const JsonValue& root) {
     const JsonValue* worker_value = root.find("worker");
     const JsonValue* lease_value = root.find("lease");
@@ -1057,7 +1025,8 @@ struct Server::Impl {
     }
     RemoteWorker& worker = worker_it->second;
     worker.last_seen = Clock::now();
-    CellJob* job = find_lease(lease_value->string);
+    CellJob* job = running_job(
+        [&](const CellJob& j) { return j.lease == lease_value->string; });
     if (job == nullptr || job->lease_worker != worker.id) {
       // Duplicate delivery, or a lease the sweep already expired: the
       // result is no longer wanted.  410 keeps the settle at-most-once.
@@ -1107,19 +1076,9 @@ struct Server::Impl {
     }
     // Worker-observed failure (timeout/crash/signal/oom/io on its side):
     // charged against the cell's retry budget exactly as a local harvest.
-    std::string kind_name;
-    if (const JsonValue* kind_value = root.find("kind");
-        kind_value != nullptr && kind_value->type == JsonValue::Type::String) {
-      kind_name = kind_value->string;
-    }
-    std::string error = "worker-reported failure";
-    if (const JsonValue* error_value = root.find("error");
-        error_value != nullptr &&
-        error_value->type == JsonValue::Type::String) {
-      error = error_value->string;
-    }
     const supervise::ErrorKind kind =
-        supervise::error_kind_from_string(kind_name);
+        supervise::error_kind_from_string(root.string_or("kind"));
+    const std::string error = root.string_or("error", "worker-reported failure");
     release_lease(*job);
     ++worker.errors[static_cast<std::size_t>(kind)];
     fail_or_retry(*job, kind, "worker '" + worker.name + "': " + error);
@@ -1319,22 +1278,26 @@ struct Server::Impl {
         conn.has_partial = true;
         conn.request_start = Clock::now();
       }
-      const HttpRequestParser::Status status = conn.parser.feed(bytes);
-      if (status == HttpRequestParser::Status::Done) {
-        conn.has_partial = false;
-        handle_request(conn);
-        if (conn.doomed) return true;
-      } else if (status == HttpRequestParser::Status::Error) {
-        parse_errors.fetch_add(1, std::memory_order_relaxed);
-        obs::count(obs::Counter::ServeParseError);
-        conn.close_after_write = true;
-        enqueue_reply(conn.id, conn.parser.error_status(), "text/plain",
-                      conn.parser.error() + "\n");
-        conn.has_partial = false;
-        if (conn.doomed) return true;
-      }
+      if (on_parse(conn, conn.parser.feed(bytes)) && conn.doomed) return true;
     }
     return false;
+  }
+
+  /// Acts on a parser status: handles a complete request, or answers a
+  /// malformed one and closes after the reply.  False while incomplete.
+  bool on_parse(Conn& conn, HttpRequestParser::Status status) {
+    if (status == HttpRequestParser::Status::NeedMore) return false;
+    conn.has_partial = false;
+    if (status == HttpRequestParser::Status::Done) {
+      handle_request(conn);
+      return true;
+    }
+    parse_errors.fetch_add(1, std::memory_order_relaxed);
+    obs::count(obs::Counter::ServeParseError);
+    conn.close_after_write = true;
+    enqueue_reply(conn.id, conn.parser.error_status(), "text/plain",
+                  conn.parser.error() + "\n");
+    return true;
   }
 
   /// Re-drives parsers over bytes that were pipelined behind a reply: each
@@ -1350,18 +1313,7 @@ struct Server::Impl {
       if (it == conns.end()) continue;
       Conn& conn = it->second;
       if (conn.waiting || conn.doomed || conn.close_after_write) continue;
-      const HttpRequestParser::Status status = conn.parser.drive();
-      if (status == HttpRequestParser::Status::Done) {
-        conn.has_partial = false;
-        handle_request(conn);
-      } else if (status == HttpRequestParser::Status::Error) {
-        parse_errors.fetch_add(1, std::memory_order_relaxed);
-        obs::count(obs::Counter::ServeParseError);
-        conn.close_after_write = true;
-        enqueue_reply(conn.id, conn.parser.error_status(), "text/plain",
-                      conn.parser.error() + "\n");
-        conn.has_partial = false;
-      } else if (conn.parser.buffered() > 0) {
+      if (!on_parse(conn, conn.parser.drive()) && conn.parser.buffered() > 0) {
         // A pipelined request arrived incomplete: arm the partial-request
         // deadline so the slow-loris sweep applies to it too.
         conn.has_partial = true;
@@ -1524,42 +1476,31 @@ struct Server::Impl {
     for (auto& [key, job] : jobs) {
       if (job.state == CellJob::State::Running && !job.lease.empty()) {
         release_lease(job);
-        if (job.attempts > 0) --job.attempts;
+        job.ledger.release();
         job.state = CellJob::State::Queued;
       }
+      if (job.state == CellJob::State::Queued) turn_away(job);
     }
     workers.clear();
     worker_ids.clear();
-    std::vector<std::uint64_t> waiters;
-    for (auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Queued) {
-        for (const std::uint64_t waiter : job.waiters) waiters.push_back(waiter);
-        job.waiters.clear();
-        job.campaigns.clear();
-      }
-    }
     for (auto& [id, campaign] : campaigns) {
       checkpoint(campaign);
-      for (const std::uint64_t waiter : campaign.waiters) {
-        waiters.push_back(waiter);
-      }
-      campaign.waiters.clear();
-    }
-    for (const std::uint64_t waiter : waiters) {
-      reply_json(waiter, 503, error_body("draining: resubmit after restart"));
+      turn_away(campaign.waiters);
     }
     log_line("drain: stopped accepting; waiting up to " +
              std::to_string(opt.drain_grace_s) + " s for " +
              std::to_string(pool ? pool->running() : 0) + " worker(s)");
   }
 
-  void finish_drain() {
-    // Stragglers are killed uncharged; their cells stay Pending.
+  /// Kills running workers (a drain's stragglers stay Pending, uncharged),
+  /// checkpoints every campaign and flushes and closes every connection.
+  void shut_down(const std::string& why) {
     if (pool) pool->kill_all(1.0);
     for (auto& [id, campaign] : campaigns) checkpoint(campaign);
     for (auto& [id, conn] : conns) flush_conn(conn);
     conns.clear();
-    log_line("drain: checkpointed, exiting 130");
+    listener.close();
+    log_line(why);
   }
 };
 
@@ -1678,16 +1619,11 @@ int Server::run() {
          Clock::now() >= impl.drain_deadline)) {
       // Give late harvests one last pass, then cut the stragglers loose.
       impl.harvest();
-      impl.finish_drain();
+      impl.shut_down("drain: checkpointed, exiting 130");
       return drained ? 130 : 0;
     }
     if (stop_requested && !impl.draining) {
-      if (impl.pool) impl.pool->kill_all(1.0);
-      for (auto& [id, campaign] : impl.campaigns) impl.checkpoint(campaign);
-      for (auto& [id, conn] : impl.conns) impl.flush_conn(conn);
-      impl.conns.clear();
-      impl.listener.close();
-      impl.log_line("stopped");
+      impl.shut_down("stopped");
       return 0;
     }
   }

@@ -18,6 +18,7 @@
 #include "campaign/cache.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
+#include "supervise/attempts.hpp"
 #include "supervise/worker_pool.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
@@ -66,15 +67,6 @@ double backoff_delay_ms(const BackoffPolicy& policy, std::size_t cell_index,
 
 namespace {
 
-/// The N of an "@N" suffix: a plain decimal integer >= 1, else 0.
-int attempt_number(const std::string& digits) {
-  if (digits.empty() || digits.size() > 9 ||
-      digits.find_first_not_of("0123456789") != std::string::npos) {
-    return 0;
-  }
-  return std::stoi(digits);
-}
-
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
@@ -90,17 +82,13 @@ void validate_inject(const std::string& value, bool allow_worker_die) {
         std::string("inject action must be hang|crash|signal") +
         (allow_worker_die ? "|worker-die" : "") + ", got '" + action + "'");
   }
-  if (at != std::string::npos && attempt_number(value.substr(at + 1)) < 1) {
+  // The N of `@N`: a plain decimal integer >= 1.
+  const std::string n = at == std::string::npos ? "1" : value.substr(at + 1);
+  if (n.empty() || n.size() > 9 ||
+      n.find_first_not_of("0123456789") != std::string::npos || std::stoi(n) < 1) {
     throw std::invalid_argument("inject attempt must be an integer >= 1, got '" +
                                 value + "'");
   }
-}
-
-std::string inject_for_attempt(const std::string& value, int attempt) {
-  const std::size_t at = value.find('@');
-  if (at == std::string::npos) return value;
-  return attempt == attempt_number(value.substr(at + 1)) ? value.substr(0, at)
-                                                         : std::string();
 }
 
 std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec,
@@ -165,59 +153,41 @@ std::nullopt_t reject_shard(ShardError why, ShardError* error) {
   return std::nullopt;
 }
 
-/// Reads one newline-terminated header line.  False at end of data; a line
-/// the stream ended inside (no '\n') sets \p complete false — the signature
-/// of a truncated delivery rather than corrupt bytes.
-bool shard_header_line(std::istream& in, std::string& line, bool& complete) {
-  if (!std::getline(in, line)) return false;
-  complete = !in.eof();
-  return true;
-}
-
 }  // namespace
 
 std::optional<ShardResult> parse_shard_result(const std::string& data,
                                               ShardError* error) {
   if (error != nullptr) *error = ShardError::None;
   std::istringstream in(data);
-  std::string line;
-  bool complete = false;
-  // Header lines: running out of bytes — or a final line without its
-  // newline — is truncation; a complete line with the wrong shape or an
-  // unparseable value is corruption.
-  if (!shard_header_line(in, line, complete)) {
-    return reject_shard(ShardError::Truncated, error);
-  }
-  if (!complete) return reject_shard(ShardError::Truncated, error);
-  if (line != "feast-shard v1") return reject_shard(ShardError::Corrupt, error);
+  // Reads the next header line, which must start with \p prefix, leaving
+  // the rest in `value`.  Running out of bytes — or a final line without
+  // its newline — is truncation; a complete line with the wrong shape is
+  // corruption.
+  std::string value;
+  ShardError why = ShardError::None;
+  const auto field = [&](const std::string& prefix) {
+    if (!std::getline(in, value) || in.eof()) {
+      why = ShardError::Truncated;
+    } else if (value.rfind(prefix, 0) != 0) {
+      why = ShardError::Corrupt;
+    } else {
+      value.erase(0, prefix.size());
+    }
+    return why == ShardError::None;
+  };
+  if (!field("feast-shard v1")) return reject_shard(why, error);
+  if (!value.empty()) return reject_shard(ShardError::Corrupt, error);
   ShardResult result;
-  if (!shard_header_line(in, line, complete)) {
-    return reject_shard(ShardError::Truncated, error);
-  }
-  if (!complete) return reject_shard(ShardError::Truncated, error);
-  if (line.rfind("cell ", 0) != 0) return reject_shard(ShardError::Corrupt, error);
   try {
-    result.cell_index = std::stoull(line.substr(5));
-  } catch (const std::exception&) {
-    return reject_shard(ShardError::Corrupt, error);
-  }
-  if (!shard_header_line(in, line, complete)) {
-    return reject_shard(ShardError::Truncated, error);
-  }
-  if (!complete) return reject_shard(ShardError::Truncated, error);
-  if (line.rfind("origin ", 0) != 0) return reject_shard(ShardError::Corrupt, error);
-  const std::string origin = line.substr(7);
-  if (origin != "computed" && origin != "cached") {
-    return reject_shard(ShardError::Corrupt, error);
-  }
-  result.from_cache = origin == "cached";
-  if (!shard_header_line(in, line, complete)) {
-    return reject_shard(ShardError::Truncated, error);
-  }
-  if (!complete) return reject_shard(ShardError::Truncated, error);
-  if (line.rfind("wall_ms ", 0) != 0) return reject_shard(ShardError::Corrupt, error);
-  try {
-    result.wall_ms = std::stod(line.substr(8));
+    if (!field("cell ")) return reject_shard(why, error);
+    result.cell_index = std::stoull(value);
+    if (!field("origin ")) return reject_shard(why, error);
+    if (value != "computed" && value != "cached") {
+      return reject_shard(ShardError::Corrupt, error);
+    }
+    result.from_cache = value == "cached";
+    if (!field("wall_ms ")) return reject_shard(why, error);
+    result.wall_ms = std::stod(value);
   } catch (const std::exception&) {
     return reject_shard(ShardError::Corrupt, error);
   }
@@ -331,11 +301,10 @@ int run_worker_cell(const CampaignSpec& spec, std::size_t cell_index,
 
 namespace {
 
-/// A pending attempt: cell + attempt number, runnable once `due` passes
-/// (backoff delays land here).
+/// A cell waiting to run, runnable once `due` passes (backoff delays land
+/// here).
 struct ReadyEntry {
   std::size_t cell = 0;
-  int attempt = 1;
   Clock::time_point due;
 };
 
@@ -359,8 +328,10 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   // processes and see no plan.
   check::ScopedFaultPlan scoped_faults(spec.context.faults);
 
-  BackoffPolicy backoff = sup.backoff;
-  if (backoff.seed == 0) backoff.seed = spec.batch.seed;
+  AttemptPolicy policy;
+  policy.max_attempts = sup.max_attempts;
+  policy.backoff = sup.backoff;
+  if (policy.backoff.seed == 0) policy.backoff.seed = spec.batch.seed;
 
   // Scratch directory for shard results, worker logs and (when the caller
   // did not hand us a spec file) the canonical spec workers re-parse.
@@ -391,19 +362,19 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   pool_options.work_dir = work_dir.string();
   pool_options.keep_files = sup.keep_work_dir;
   WorkerPool pool(pool_options);
-  std::map<std::uint64_t, int> attempt_of;  // Pool ticket → attempt number.
 
   const auto start = Clock::now();
   refresh_campaign_totals(result, 0.0);
   checkpoint_manifest_file(options.manifest_path, spec, result);
 
-  std::deque<ReadyEntry> ready;
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    if (result.cells[i].state == CellState::Pending) {
-      ready.push_back({i, 1, start});
-    }
-  }
   const std::size_t total = result.cells.size();
+  std::vector<AttemptLedger> ledgers;
+  ledgers.reserve(total);
+  std::deque<ReadyEntry> ready;
+  for (std::size_t i = 0; i < total; ++i) {
+    ledgers.emplace_back(policy, i);
+    if (result.cells[i].state == CellState::Pending) ready.push_back({i, start});
+  }
   std::size_t finished = total - ready.size();  // Restored cells count as done.
 
   DrainSignalGuard drain_guard;
@@ -420,56 +391,52 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   };
 
   // Records a cell's terminal success from a parsed shard result.
-  const auto complete_cell = [&](int attempt, const ShardResult& shard) {
+  const auto complete_cell = [&](const ShardResult& shard) {
     CellOutcome& cell = result.cells[shard.cell_index];
-    cell.state = shard.from_cache ? CellState::Cached : CellState::Computed;
-    cell.stats = shard.stats;
-    cell.wall_ms = shard.wall_ms;
-    cell.attempts = attempt;
-    cell.error.clear();
-    cell.error_kind.clear();
+    record_success(cell, shard, ledgers[shard.cell_index].attempts());
     ++finished;
     checkpoint();
     if (options.progress != nullptr) {
       progress_prefix(*options.progress)
           << cell.strategy_label << " procs=" << cell.n_procs << " "
           << to_string(cell.state) << " (" << format_compact(cell.wall_ms, 1)
-          << " ms, attempt " << attempt << ")" << std::endl;
+          << " ms, attempt " << cell.attempts << ")" << std::endl;
     }
   };
 
-  // Charges a failed attempt: requeues it under backoff, or quarantines the
-  // cell once the retry budget is spent.
-  const auto fail_attempt = [&](std::size_t cell_index, int attempt,
-                                ErrorKind kind, std::string message) {
+  // Hands a failed attempt to the cell's ledger: requeue under backoff, or
+  // quarantine once the budget is spent.  Inside the drain window the
+  // attempt is released instead, leaving the cell Pending exactly like
+  // never-dispatched work.
+  const auto fail_attempt = [&](std::size_t cell_index, ErrorKind kind,
+                                std::string message) {
+    AttemptLedger& ledger = ledgers[cell_index];
+    if (draining) {
+      ledger.release();
+      return;
+    }
     CellOutcome& cell = result.cells[cell_index];
-    cell.attempts = attempt;
-    if (attempt >= sup.max_attempts) {
-      cell.state = CellState::Quarantined;
-      cell.error_kind = to_string(kind);
-      cell.error = std::move(message);
-      obs::count(obs::Counter::SuperviseQuarantine);
+    AttemptVerdict verdict = ledger.fail(kind, std::move(message));
+    if (verdict.quarantined()) {
+      record_quarantine(cell, verdict.attempts, verdict.kind,
+                        std::move(verdict.error));
       ++finished;
       checkpoint();
       if (options.progress != nullptr) {
         progress_prefix(*options.progress)
             << cell.strategy_label << " procs=" << cell.n_procs
-            << " quarantined after " << attempt << " attempts ["
+            << " quarantined after " << verdict.attempts << " attempts ["
             << cell.error_kind << "] — " << cell.error << std::endl;
       }
       return;
     }
-    const double delay = backoff_delay_ms(backoff, cell_index, attempt);
-    ready.push_back({cell_index, attempt + 1,
-                     Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                        std::chrono::duration<double, std::milli>(
-                                            delay))});
-    obs::count(obs::Counter::SuperviseRetry);
+    ready.push_back({cell_index, verdict.due});
     if (options.progress != nullptr) {
       progress_prefix(*options.progress)
           << cell.strategy_label << " procs=" << cell.n_procs << " attempt "
-          << attempt << "/" << sup.max_attempts << " failed [" << to_string(kind)
-          << "], retry in " << format_compact(delay, 0) << " ms — " << message
+          << verdict.attempts << "/" << sup.max_attempts << " failed ["
+          << to_string(kind) << "], retry in "
+          << format_compact(verdict.delay_ms, 0) << " ms — " << verdict.error
           << std::endl;
     }
   };
@@ -494,44 +461,34 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
     }
 
     if (!draining) {
-      // Pull the due entries out first: a failed spawn re-queues onto
-      // `ready` via fail_attempt, and deque::push_back invalidates every
-      // iterator, so spawning while still walking `ready` is UB.
-      std::vector<ReadyEntry> due;
-      for (auto it = ready.begin();
-           it != ready.end() && due.size() < pool.free_slots();) {
-        if (it->due <= now) {
-          due.push_back(*it);
-          it = ready.erase(it);
-        } else {
-          ++it;
+      // One pass over the entries queued now: a failed spawn re-queues
+      // onto `ready` via fail_attempt, and entries not yet due rotate to
+      // the back.
+      for (std::size_t n = ready.size(); n > 0 && pool.free_slots() > 0; --n) {
+        const ReadyEntry entry = ready.front();
+        ready.pop_front();
+        if (entry.due > now) {
+          ready.push_back(entry);
+          continue;
         }
-      }
-      for (const ReadyEntry& entry : due) {
         const auto inject = sup.inject.find(entry.cell);
         const auto faults = sup.fault_cells.find(entry.cell);
+        const std::string action = ledgers[entry.cell].start(
+            inject == sup.inject.end() ? "" : inject->second);
         try {
-          attempt_of[pool.submit(
-              spec_path, entry.cell,
-              inject == sup.inject.end()
-                  ? ""
-                  : inject_for_attempt(inject->second, entry.attempt),
-              faults == sup.fault_cells.end() ? "" : faults->second)] =
-              entry.attempt;
+          pool.submit(spec_path, entry.cell, action,
+                      faults == sup.fault_cells.end() ? "" : faults->second);
         } catch (const std::exception& e) {
-          fail_attempt(entry.cell, entry.attempt, ErrorKind::Io, e.what());
+          fail_attempt(entry.cell, ErrorKind::Io, e.what());
         }
       }
     }
 
     for (const WorkerOutcome& outcome : pool.poll()) {
-      const auto it = attempt_of.find(outcome.ticket);
-      const int attempt = it->second;
-      attempt_of.erase(it);
       if (outcome.ok()) {
-        complete_cell(attempt, outcome.shard);
+        complete_cell(outcome.shard);
       } else {
-        fail_attempt(outcome.cell_index, attempt, outcome.kind, outcome.error);
+        fail_attempt(outcome.cell_index, outcome.kind, outcome.error);
       }
     }
 

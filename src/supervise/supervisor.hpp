@@ -118,10 +118,6 @@ void validate_inject(const std::string& value, bool allow_worker_die = false);
 std::map<std::size_t, std::string> parse_inject_spec(const std::string& spec,
                                                      bool allow_worker_die = false);
 
-/// The action a validated inject value applies to 1-based attempt
-/// \p attempt: the bare action, or "" when `@N` names another attempt.
-std::string inject_for_attempt(const std::string& value, int attempt);
-
 /// Runs the campaign under process isolation.  Uses options.manifest_path /
 /// resume / progress / cache exactly like run_campaign (the cache pointer is
 /// only consulted for *restored* cells; workers open their own cache on

@@ -10,9 +10,8 @@
 /// WorkerPool owns the spawn, watchdog, harvest and drain-kill of
 /// concurrent attempts.  submit() spawns into a free slot and returns a
 /// ticket; poll() harvests finished (or watchdog-killed) leases without
-/// blocking.  Retry and quarantine policy stay with the caller — the pool
-/// reports one attempt's outcome, it does not decide what an attempt
-/// failure means.
+/// blocking.  The pool reports one attempt's outcome; what a failure
+/// means is the attempt ledger's call (attempts.hpp).
 ///
 /// Two fault sites (check/fault.hpp) fire inside the pool:
 /// `supervise-spawn` before each spawn (die kills the pool's owner, any

@@ -31,6 +31,13 @@ struct JsonValue {
     }
     return nullptr;
   }
+
+  /// String member \p key, or \p fallback when absent or not a string.
+  std::string string_or(const std::string& key,
+                        const std::string& fallback = "") const {
+    const JsonValue* v = find(key);
+    return (v != nullptr && v->type == Type::String) ? v->string : fallback;
+  }
 };
 
 /// Resource bounds enforced while parsing.  The defaults are generous

@@ -802,6 +802,58 @@ TEST(ServeDaemon, DrainExits130AndResumeReproducesTheFingerprint) {
   }
 }
 
+TEST(ServeDaemon, FailureDuringDrainLeavesTheCellPending) {
+  ScratchDir dir("feast-serve-drain-failure");
+  const std::string spec_text = test_spec_text();
+  serve::ServeOptions options = base_options(dir);
+  options.workers = 1;
+  options.cell_timeout_s = 1.0;
+  options.drain_grace_s = 5.0;
+  const std::string spec_hash =
+      hash_hex(fnv1a64(parse_spec(spec_text).canonical_text()));
+  const fs::path manifest_path =
+      fs::path(options.work_dir) / (spec_hash + ".manifest.json");
+
+  // Cell 0 hangs in the only worker slot; a /v1/cell request for the same
+  // poisoned cell attaches to that job.  The drain starts while it runs,
+  // and its 1 s watchdog fires inside the 5 s grace window: that failure
+  // must turn the cell away like never-dispatched work (503, row Pending,
+  // nothing failed), not quarantine it.
+  TestServer server(options);
+  serve::HttpReply campaign_reply;
+  serve::HttpReply cell_reply;
+  std::thread campaign_client([&] {
+    campaign_reply = post(server.port(), "/v1/campaign",
+                          "{\"spec\": \"" + json_escape(spec_text) +
+                              "\", \"inject\": \"0:hang\"}");
+  });
+  ASSERT_TRUE(wait_until([&] { return server.server().stats().running >= 1; }));
+  std::thread cell_client([&] {
+    cell_reply =
+        post(server.port(), "/v1/cell", cell_request_body(spec_text, 0, "hang"));
+  });
+  ASSERT_TRUE(
+      wait_until([&] { return server.server().stats().dedup_hits >= 1; }));
+  EXPECT_EQ(server.drain(), 130);
+  campaign_client.join();
+  cell_client.join();
+
+  ASSERT_TRUE(cell_reply.ok()) << cell_reply.error;
+  EXPECT_EQ(cell_reply.status, 503) << cell_reply.body;
+  EXPECT_NE(cell_reply.body.find("draining: resubmit after restart"),
+            std::string::npos)
+      << cell_reply.body;
+  ASSERT_TRUE(campaign_reply.ok()) << campaign_reply.error;
+  EXPECT_EQ(campaign_reply.status, 503) << campaign_reply.body;
+  EXPECT_EQ(server.server().stats().failed, 0u);
+
+  const Manifest drained = read_manifest_file(manifest_path.string());
+  ASSERT_EQ(drained.cells.size(), 4u);
+  EXPECT_EQ(drained.cells[0].state, CellState::Pending);
+  EXPECT_EQ(drained.cells[0].error_kind, "");
+  EXPECT_EQ(drained.quarantined, 0u);
+}
+
 // ----------------------------------------------- campaign status --json CLI
 
 TEST(CampaignStatusJson, CliEmitsTheSharedSchemaWithTheFingerprint) {

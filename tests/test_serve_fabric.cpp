@@ -5,7 +5,9 @@
 ///        cross-worker poison quarantine under the `net` taxonomy,
 ///        duplicate-result idempotence, and socket-level fuzz of the
 ///        registration + lease handshake (malformed JSON, every-prefix
-///        shard truncation, oversized headers) that must 4xx, never crash.
+///        shard truncation, oversized headers) that must 4xx, never crash;
+///        and executor parity: one degraded run through the supervisor,
+///        serve's local pool and a remote worker lands on identical rows.
 ///
 /// Like test_serve.cpp, every test binds an ephemeral loopback port and
 /// talks to the reactor through real sockets — no mocked transport.
@@ -16,8 +18,10 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "campaign/campaign.hpp"
 #include "serve/client.hpp"
@@ -496,6 +500,72 @@ TEST(ServeFabric, EveryShardPrefixTruncationIsRejectedAsNet) {
   EXPECT_DOUBLE_EQ(parse_json(cell_reply.body).find("attempts")->number,
                    static_cast<double>(torn + 1));
   EXPECT_EQ(server.stop(), 0);
+}
+
+// ------------------------------------------------------- executor parity
+
+/// Per-cell verdicts of a manifest: state, attempts and error kind.
+std::vector<std::string> cell_verdicts(const Manifest& manifest) {
+  std::vector<std::string> rows;
+  for (const CellOutcome& cell : manifest.cells) {
+    rows.push_back(std::string(to_string(cell.state)) + " x" +
+                   std::to_string(cell.attempts) + " [" + cell.error_kind + "]");
+  }
+  return rows;
+}
+
+TEST(ExecutorParity, DegradedRunIsIdenticalAcrossSupervisorServeLocalAndRemote) {
+  ScratchDir dir("feast-executor-parity");
+  const std::string spec_text = test_spec_text();
+  const CampaignSpec spec = parse_spec(spec_text);
+  const std::string inject = "1:crash@1,2:crash";  // Recovers; quarantines.
+
+  // The supervised campaign runner.
+  CampaignOptions options;
+  options.manifest_path = (dir.path() / "supervised.manifest.json").string();
+  supervise::SupervisorOptions sup;
+  sup.max_attempts = 2;
+  sup.backoff.base_ms = 5.0;
+  sup.backoff.cap_ms = 20.0;
+  sup.feastc_path = FEAST_FEASTC_PATH;
+  sup.no_cache = true;
+  sup.work_dir = (dir.path() / "supervised-work").string();
+  sup.inject = supervise::parse_inject_spec(inject);
+  supervise::run_supervised_campaign(spec, options, sup);
+  const Manifest supervised = read_manifest_file(options.manifest_path);
+  const std::vector<std::string> expected = cell_verdicts(supervised);
+  ASSERT_EQ(expected.size(), 4u);
+  EXPECT_EQ(expected[1], "computed x2 []");
+  EXPECT_EQ(expected[2], "quarantined x2 [crash]");
+
+  // The daemon, once with local workers and once remote-only with one
+  // real worker loop: same spec, same inject, same budget.
+  const std::string spec_hash = hash_hex(fnv1a64(spec.canonical_text()));
+  for (const int local_workers : {2, 0}) {
+    SCOPED_TRACE("serve workers=" + std::to_string(local_workers));
+    serve::ServeOptions serve_options = fabric_options(dir);
+    serve_options.work_dir =
+        (dir.path() / ("serve-work-" + std::to_string(local_workers))).string();
+    serve_options.workers = local_workers;
+    serve_options.max_attempts = 2;
+    serve_options.no_cache = true;
+    TestServer server(serve_options);
+    std::optional<TestWorker> remote;
+    if (local_workers == 0) remote.emplace(dir, server.port(), "parity-w0");
+    const serve::HttpReply reply =
+        post(server.port(), "/v1/campaign",
+             "{\"spec\": \"" + json_escape(spec_text) + "\", \"inject\": \"" +
+                 inject + "\"}");
+    ASSERT_TRUE(reply.ok()) << reply.error;
+    ASSERT_EQ(reply.status, 200) << reply.body;
+    const Manifest served = read_manifest_file(
+        (fs::path(serve_options.work_dir) / (spec_hash + ".manifest.json"))
+            .string());
+    EXPECT_EQ(cell_verdicts(served), expected);
+    EXPECT_EQ(fingerprint_of(served), fingerprint_of(supervised));
+    remote.reset();
+    EXPECT_EQ(server.stop(), 0);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 /// \file test_supervise.cpp
 /// \brief Supervised process isolation: subprocess decoding and watchdog
 ///        escalation, deterministic retry backoff, poison-cell quarantine
-///        with degraded-manifest round-trip, and SIGTERM drain + resume.
+///        with degraded-manifest round-trip, SIGTERM drain + resume, and
+///        the attempt ledger's verdict table.
 ///
 /// The campaign-level tests drive the real feastc binary (path baked in by
 /// CMake as FEAST_FEASTC_PATH) through run_supervised_campaign and the CLI,
@@ -12,11 +13,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "campaign/campaign.hpp"
+#include "supervise/attempts.hpp"
 #include "supervise/subprocess.hpp"
 #include "supervise/supervisor.hpp"
 #include "util/fsio.hpp"
@@ -196,6 +199,117 @@ TEST(Backoff, DeterministicDoublingWithBoundedJitter) {
   other.seed = 100;
   EXPECT_NE(backoff_delay_ms(policy, 3, 1), backoff_delay_ms(other, 3, 1));
   EXPECT_NE(backoff_delay_ms(policy, 3, 1), backoff_delay_ms(policy, 4, 1));
+}
+
+// --------------------------------------------------------- attempt ledger
+
+AttemptPolicy ledger_policy() {
+  AttemptPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff.base_ms = 100.0;
+  policy.backoff.cap_ms = 800.0;
+  policy.backoff.seed = 7;
+  policy.poison_deaths = 2;
+  return policy;
+}
+
+using Action = AttemptVerdict::Action;
+using LedgerClock = AttemptLedger::Clock;
+
+LedgerClock::time_point after_ms(LedgerClock::time_point now, double ms) {
+  return now + std::chrono::duration_cast<LedgerClock::duration>(
+                   std::chrono::duration<double, std::milli>(ms));
+}
+
+TEST(AttemptLedger, StartChargesAndResolvesTheInjectAttempt) {
+  AttemptLedger ledger(ledger_policy(), 4);
+  EXPECT_EQ(ledger.attempts(), 0);
+  const std::string expected[] = {"", "crash", ""};  // crash@2: attempt 2 only.
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    EXPECT_EQ(ledger.start("crash@2"), expected[attempt - 1]) << attempt;
+    EXPECT_EQ(ledger.attempts(), attempt);
+  }
+  AttemptLedger plain(ledger_policy(), 4);
+  EXPECT_EQ(plain.start("hang"), "hang");
+  EXPECT_EQ(plain.start(""), "");
+}
+
+TEST(AttemptLedger, FailRetriesUnderBudgetThenQuarantinesWithKindAndError) {
+  const AttemptPolicy policy = ledger_policy();
+  AttemptLedger ledger(policy, 4);
+  const LedgerClock::time_point now = LedgerClock::now();
+  struct Row {
+    ErrorKind kind;
+    const char* error;
+    Action action;
+  };
+  const Row table[] = {
+      {ErrorKind::Crash, "worker exit 1", Action::Retry},
+      {ErrorKind::Io, "spawn failed", Action::Retry},
+      {ErrorKind::Timeout, "watchdog", Action::Quarantine},
+  };
+  int attempt = 0;
+  for (const Row& row : table) {
+    ledger.start("");
+    ++attempt;
+    const AttemptVerdict verdict = ledger.fail(row.kind, row.error, now);
+    EXPECT_EQ(verdict.action, row.action) << attempt;
+    EXPECT_EQ(verdict.attempts, attempt);
+    EXPECT_EQ(verdict.kind, row.kind);
+    EXPECT_EQ(verdict.error, row.error);
+    if (row.action == Action::Retry) {
+      EXPECT_EQ(verdict.delay_ms, backoff_delay_ms(policy.backoff, 4, attempt));
+      EXPECT_EQ(verdict.due, after_ms(now, verdict.delay_ms));
+    }
+  }
+  EXPECT_TRUE(ledger.fail(ErrorKind::Crash, "again", now).quarantined());
+
+  // Serve's zero backoff: every retry is due immediately.
+  const AttemptPolicy zero{2, BackoffPolicy{0.0, 0.0, 0}, 2};
+  AttemptLedger immediate(zero, 9);
+  immediate.start("");
+  const AttemptVerdict retry = immediate.fail(ErrorKind::Crash, "boom", now);
+  EXPECT_EQ(retry.action, Action::Retry);
+  EXPECT_EQ(retry.delay_ms, 0.0);
+  EXPECT_EQ(retry.due, now);
+}
+
+TEST(AttemptLedger, LostIsUnchargedAndDistinctWorkerDeathsTripPoison) {
+  AttemptLedger ledger(ledger_policy(), 0);
+  struct Row {
+    int starts;  ///< Attempts charged before the loss.
+    const char* worker;
+    Action action;
+    int attempts;
+  };
+  const Row table[] = {
+      {0, "w0", Action::Requeue, 0},     // Never below zero.
+      {2, "w0", Action::Requeue, 1},     // Same name again: still one death.
+      {0, "w1", Action::Quarantine, 0},  // Second distinct name: poison.
+  };
+  for (const Row& row : table) {
+    for (int i = 0; i < row.starts; ++i) ledger.start("");
+    const AttemptVerdict verdict = ledger.lost(row.worker, "lease deadline missed");
+    EXPECT_EQ(verdict.action, row.action) << row.worker;
+    EXPECT_EQ(verdict.attempts, row.attempts) << row.worker;
+    EXPECT_EQ(ledger.attempts(), row.attempts);
+  }
+  const AttemptVerdict poison = ledger.lost("w1", "heartbeat missed");
+  EXPECT_EQ(poison.kind, ErrorKind::Net);
+  EXPECT_EQ(poison.error,
+            "cross-worker poison: 2 distinct workers lost while running this "
+            "cell (last 'w1': heartbeat missed)");
+}
+
+TEST(AttemptLedger, ReleaseIsUncharged) {
+  AttemptLedger ledger(ledger_policy(), 0);
+  ledger.start("");
+  ledger.start("");
+  ledger.release();
+  EXPECT_EQ(ledger.attempts(), 1);
+  ledger.release();
+  ledger.release();
+  EXPECT_EQ(ledger.attempts(), 0);
 }
 
 // ---------------------------------------------------------- shard results
@@ -477,6 +591,50 @@ TEST(Supervise, SigtermDrainsToResumableCheckpoint) {
                                  << read_file(capture.stdout_path);
   EXPECT_EQ(manifest_fingerprint(read_manifest_file(manifest.string())),
             manifest_fingerprint(read_manifest_file(base_options.manifest_path)));
+}
+
+TEST(Supervise, FailureDuringDrainLeavesTheCellPending) {
+  ScratchDir dir("feast-supervise-drain-failure");
+  const fs::path spec_path = write_spec(dir.path(), /*samples=*/8);
+  const fs::path manifest = dir.path() / "m.json";
+
+  // Cell 0 hangs until its 1 s watchdog fires, which lands inside the 5 s
+  // drain window: that failure must leave the cell exactly like
+  // never-dispatched work — no retry, no row update.
+  SubprocessOptions capture;
+  capture.stdout_path = (dir.path() / "run.log").string();
+  capture.stderr_path = "+stdout";
+  Subprocess run = Subprocess::spawn(
+      {FEAST_FEASTC_PATH, "campaign", "run", spec_path.string(), "--manifest",
+       manifest.string(), "--no-cache", "--isolate=process", "--workers", "2",
+       "--work-dir", (dir.path() / "work").string(), "--inject", "0:hang",
+       "--cell-timeout", "1", "--max-attempts", "5", "--drain-grace", "5"},
+      capture);
+  ASSERT_TRUE(run.spawned());
+  for (int i = 0; i < 600; ++i) {
+    if (read_file(manifest).find("\"computed\": 3") != std::string::npos) break;
+    ASSERT_FALSE(run.poll()) << "campaign finished early: " << run.status().describe()
+                             << "\n" << read_file(capture.stdout_path);
+    ::usleep(50 * 1000);
+  }
+  run.send_signal(SIGTERM);
+  const auto status = run.wait_for(/*seconds=*/30.0);
+  ASSERT_TRUE(status.has_value()) << "drain did not finish";
+  const std::string log = read_file(capture.stdout_path);
+  EXPECT_TRUE(status->exited(130)) << status->describe() << "\n" << log;
+
+  const std::size_t drain_line = log.find("drain: signal");
+  ASSERT_NE(drain_line, std::string::npos) << log;
+  EXPECT_EQ(log.find("retry in", drain_line), std::string::npos) << log;
+  EXPECT_EQ(log.find("quarantined after", drain_line), std::string::npos) << log;
+
+  const Manifest drained = read_manifest_file(manifest.string());
+  ASSERT_EQ(drained.cells.size(), 4u);
+  EXPECT_EQ(drained.cells[0].state, CellState::Pending);
+  EXPECT_EQ(drained.cells[0].attempts, 0);
+  EXPECT_EQ(drained.cells[0].error_kind, "");
+  EXPECT_EQ(drained.quarantined, 0u);
+  EXPECT_EQ(drained.computed + drained.cached, 3u);
 }
 
 TEST(Supervise, ExactSolveFaultIsQuarantinedEndToEnd) {
