@@ -1,8 +1,8 @@
 /// \file perf_algorithms.cpp
-/// \brief Google-benchmark microbenchmarks of the core algorithms,
-///        validating §8's complexity claim: AST's distribution runs in
-///        O(n^3) for n subtasks (the exact hop-indexed DP), and the list
-///        scheduler stays near-quadratic.
+/// \brief Google-benchmark microbenchmarks of the core algorithms: how
+///        distribution (the exact hop-indexed DP; docs/ALGORITHM.md records
+///        the fits against §8's O(n^3) claim) and the list scheduler grow
+///        with the number of subtasks n.
 ///
 /// Run with --benchmark_filter=... as usual; the asymptotic fit is printed
 /// by google-benchmark's complexity reporting (BigO).

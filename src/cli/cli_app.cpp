@@ -21,6 +21,7 @@
 #include "util/parallel.hpp"
 #include "core/comm_estimator.hpp"
 #include "core/demand.hpp"
+#include "core/diffdist.hpp"
 #include "core/distribution_validate.hpp"
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
@@ -82,6 +83,7 @@ commands:
   exact       branch-and-bound optimality oracle (single instance or gap sweep)
   profile     instrumented sweep: per-phase timings, counters, Chrome trace
   diffsched   differential test of the two scheduler cores
+  diffdist    differential test of the two critical-path finders
   torture     crash-resume torture: kill campaigns at injected faults, resume,
               assert results identical to an uninterrupted run
   serve       long-lived evaluation daemon (HTTP/1.1 + JSON over TCP)
@@ -188,6 +190,13 @@ diffsched options (trace contract: docs/SCHEDULER.md):
                           policy combinations on both cores (default 500)
   --seed S                root RNG seed                  (default 1)
   --quick                 smaller graphs/machines (smoke run)
+
+diffdist options (finder contract: docs/ALGORITHM.md):
+  --trials N              randomized graphs, each distributed under all 16
+                          metric x estimator x interior-bounds combinations
+                          by both finders (default 500)
+  --seed S                root RNG seed                  (default 1)
+  --quick                 smaller paper-sized graphs (smoke run)
 
 serve options (protocol and endpoints: docs/SERVE.md; exit 130 = drained on
 SIGINT/SIGTERM with resumable campaign checkpoints):
@@ -1644,6 +1653,28 @@ int cmd_diffsched(Args& args, std::ostream& out) {
   return result.ok() ? kOk : kFailure;
 }
 
+// ----------------------------------------------------------------- diffdist
+
+int cmd_diffdist(Args& args, std::ostream& out) {
+  DiffDistConfig config;
+  while (!args.done()) {
+    const std::string flag = args.pop();
+    if (flag == "--trials") {
+      config.trials = static_cast<int>(parse_int_arg(flag, args.value_for(flag)));
+      if (config.trials < 1) throw UsageError("--trials must be positive");
+    } else if (flag == "--seed") {
+      config.seed =
+          static_cast<std::uint64_t>(parse_int_arg(flag, args.value_for(flag)));
+    } else if (flag == "--quick") {
+      config.quick = true;
+    } else {
+      throw UsageError("diffdist: unknown option '" + flag + "'");
+    }
+  }
+  const DiffDistResult result = run_diffdist(config, &out);
+  return result.ok() ? kOk : kFailure;
+}
+
 // ------------------------------------------------------------------ torture
 
 /// Parses \p flag when it is one of the trial flags `torture` and `chaos`
@@ -1740,6 +1771,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in, std::ostream
     if (command == "exact") return cmd_exact(rest, in, out);
     if (command == "profile") return cmd_profile(rest, out);
     if (command == "diffsched") return cmd_diffsched(rest, out);
+    if (command == "diffdist") return cmd_diffdist(rest, out);
     if (command == "torture") return cmd_torture(rest, out);
     if (command == "chaos") return cmd_chaos(rest, out);
     if (command == "serve") return cmd_serve(rest, out);

@@ -9,18 +9,29 @@
 ///   best[v][k] = max Σ virtual-cost over residual paths from a source to v
 ///                that contain exactly k non-negligible nodes.
 ///
-/// For a fixed sink t and hop count k, every metric in metrics.hpp is
-/// monotonically decreasing in Σv, so minimizing R over paths reduces to
-/// maximizing Σv per (t, k) — the DP is exact, not a heuristic.  This
-/// realizes the paper's "breadth-first traversal" with a per-level table.
+/// For a fixed sink t and hop count k, the PURE-family ratio (W − Σv)/k
+/// falls as Σv grows, and so does NORM's W/Σv − 1 whenever the window W is
+/// non-negative — so minimizing R over paths reduces to maximizing Σv per
+/// (t, k), and the DP is exact, not a heuristic.  (Under NORM an *inverted*
+/// window, W < 0, reverses that order: there the search still returns the
+/// max-Σv path per (t, k), which tests/test_prop_exactness.cpp documents.)
+/// This realizes the paper's "breadth-first traversal" with a per-level
+/// table.
 ///
 /// A *residual source* is an unassigned node all of whose predecessors are
 /// assigned (its release lower bound lb is known); a *residual sink* is an
 /// unassigned node all of whose successors are assigned (its deadline upper
 /// bound ub is known).  The available window of a path is ub(sink) −
-/// lb(source).
+/// lb(source).  Sources whose lb agree (time_eq) share one DP sweep, an
+/// *lb group*; groups are swept in first-appearance order.
+///
+/// Two implementations return the same path, window and ratio, bit for
+/// bit: CriticalPathFinder (sparse, incremental; the one the distributor
+/// runs) and CriticalPathFinderRef (the retained dense sweep it is
+/// differentially tested against, see core/diffdist.hpp).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -51,18 +62,17 @@ struct CriticalPathResult {
   double ratio = 0.0;         ///< The minimized metric value R.
 };
 
-/// Exact minimum-R maximal-path search.  Construct once per distribution
-/// (after SliceMetric::prepare) and call find() each iteration.
-class CriticalPathFinder {
+/// Machine-independent work counters of a finder, accumulated over every
+/// find() since construction (published as dist.* obs counters).
+struct FinderStats {
+  std::uint64_t lb_groups = 0;  ///< lb groups swept (identical in both finders).
+  std::uint64_t dp_cells = 0;   ///< DP cells initialized before use.
+};
+
+/// What both finders share: per-node effective and virtual costs, the
+/// full-graph topological order and the work counters.
+class PathFinderBase {
  public:
-  CriticalPathFinder(const TaskGraph& graph, const SliceMetric& metric,
-                     const CommCostEstimator& estimator);
-
-  /// Finds the minimum-R maximal path of the residual graph, or nullopt
-  /// when no unassigned node remains.  Deterministic: ties are broken
-  /// toward the first candidate in topological order.
-  std::optional<CriticalPathResult> find(const ResidualState& state);
-
   /// Effective (real or estimated) cost of a node, as used in the search.
   Time effective_cost(NodeId id) const {
     FEAST_REQUIRE(id.index() < effective_.size());
@@ -75,13 +85,87 @@ class CriticalPathFinder {
     return virtual_[id.index()];
   }
 
- private:
+  const FinderStats& stats() const noexcept { return stats_; }
+
+ protected:
+  PathFinderBase(const TaskGraph& graph, const SliceMetric& metric,
+                 const CommCostEstimator& estimator);
+
   const TaskGraph* graph_;
   const SliceMetric* metric_;
   std::vector<Time> effective_;  ///< Per-node effective cost.
   std::vector<Time> virtual_;    ///< Per-node virtual cost v_i.
   std::vector<NodeId> topo_;     ///< Full-graph topological order.
+  FinderStats stats_;
+};
 
+/// Exact minimum-R maximal-path search.  Construct once per distribution
+/// (after SliceMetric::prepare) and call find() each iteration.
+///
+/// The search is sparse and incremental:
+///  - the residual frontier (unassigned-predecessor and -successor counts,
+///    the source set by topological position) is updated only for nodes
+///    whose assigned flag changed since the previous find();
+///  - each lb group sweeps only the cone reachable from its sources, in
+///    topological order, and each DP row keeps a live hop range [lo, hi]
+///    whose cells are filled with −∞ lazily as the range grows;
+///  - rows are packed into one flat table, each only as wide as the most
+///    effective nodes on any graph path ending at its node;
+///  - sinks are scored as the sweep reaches them, and a group that takes
+///    the lead has its path read off its parent rows at once, so no group
+///    is ever swept twice.
+/// The DP tables live in a thread-local scratch reused across finders.
+class CriticalPathFinder : public PathFinderBase {
+ public:
+  CriticalPathFinder(const TaskGraph& graph, const SliceMetric& metric,
+                     const CommCostEstimator& estimator);
+
+  /// Finds the minimum-R maximal path of the residual graph, or nullopt
+  /// when no unassigned node remains.  Deterministic: ties are broken
+  /// toward the first candidate in topological order.
+  std::optional<CriticalPathResult> find(const ResidualState& state);
+
+ private:
+  /// Brings the frontier in line with \p state's assigned flags.
+  void sync(const ResidualState& state);
+  /// Flips the assigned flag of the node at topological position \p p.
+  void flip(std::uint32_t p, bool assigned);
+  /// Recomputes the source bit of the node at position \p p.
+  void update_source(std::uint32_t p);
+
+  // Per-graph topology, indexed by topological position.
+  std::vector<std::uint32_t> pos_;       ///< Node index → topological position.
+  std::vector<std::uint32_t> succ_off_;  ///< CSR offsets into succ_.
+  std::vector<std::uint32_t> succ_;      ///< Successor positions, graph.succs order.
+  std::vector<std::uint8_t> step_;       ///< 1 when the node is effective.
+  std::vector<Time> virt_;               ///< Virtual cost by position.
+  std::vector<std::uint32_t> row_off_;   ///< DP row offsets (row p: hop bound + 1 cells).
+  std::uint32_t row_cells_ = 0;          ///< Cells of all rows.
+
+  // Residual frontier, kept incrementally across find() calls.
+  std::vector<std::uint8_t> assigned_;     ///< Mirror of state.assigned.
+  std::vector<std::uint32_t> open_preds_;  ///< Unassigned predecessors.
+  std::vector<std::uint32_t> open_succs_;  ///< Unassigned successors.
+  std::vector<std::uint64_t> sources_;     ///< Residual-source bitset.
+  std::size_t residual_count_ = 0;
+  std::size_t effective_count_ = 0;  ///< Residual nodes with step 1.
+};
+
+/// The retained reference search: per find(), every lb group resets and
+/// sweeps the whole dense [node][hop] table of the residual graph, and the
+/// winner's group is swept once more to rebuild the path.  Returns results
+/// bit-identical to CriticalPathFinder — `feastc diffdist` replays
+/// randomized distributions through both to enforce this.  Use it as the
+/// oracle in tests and benchmarks, not in hot paths.
+class CriticalPathFinderRef : public PathFinderBase {
+ public:
+  CriticalPathFinderRef(const TaskGraph& graph, const SliceMetric& metric,
+                        const CommCostEstimator& estimator);
+
+  /// Same contract as CriticalPathFinder::find.
+  std::optional<CriticalPathResult> find(const ResidualState& state);
+
+ private:
   // Scratch buffers reused across find() calls (indexed [node][hops]).
   std::vector<std::vector<Time>> best_;
   std::vector<std::vector<NodeId>> parent_;

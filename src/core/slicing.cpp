@@ -2,23 +2,20 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
 #include "taskgraph/validate.hpp"
 
 namespace feast {
 
-DeadlineDistributor::DeadlineDistributor(SliceMetric& metric,
-                                         const CommCostEstimator& estimator,
-                                         SlicingOptions options)
-    : metric_(&metric), estimator_(&estimator), options_(options) {}
+namespace {
 
-std::string DeadlineDistributor::describe() const {
-  return metric_->name() + "+" + estimator_->name();
-}
-
-DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
+/// The slicing loop of Figure 1, over either critical-path finder.
+template <class Finder>
+DeadlineAssignment slice(const TaskGraph& graph, SliceMetric& metric,
+                         const CommCostEstimator& estimator, SlicingOptions options) {
   require_valid(validate_for_distribution(graph));
-  metric_->prepare(graph);
-  CriticalPathFinder finder(graph, *metric_, *estimator_);
+  metric.prepare(graph);
+  Finder finder(graph, metric, estimator);
 
   ResidualState state(graph.node_count());
   // Boundary conditions: input subtasks carry their release time, output
@@ -32,12 +29,14 @@ DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
 
   DeadlineAssignment result(graph);
   int iteration = 0;
+  std::vector<Time> releases;
+  std::vector<Time> rel_deadlines;
 
   while (auto critical = finder.find(state)) {
-    const CriticalPathResult& path = *critical;
+    CriticalPathResult& path = *critical;
     FEAST_ASSERT(!path.nodes.empty());
     const double ratio = path.ratio;
-    const SlackShare share = metric_->share();
+    const SlackShare share = metric.share();
 
     // Distribute the window over the path (Figure 1, step 4): contiguous
     // slices; negligible nodes get zero-width windows at their
@@ -55,11 +54,11 @@ DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
             : 1.0;
 
     Time cursor = inverted ? path.window_end : path.window_start;
-    std::vector<Time> releases(path.nodes.size());
-    std::vector<Time> rel_deadlines(path.nodes.size());
+    releases.resize(path.nodes.size());
+    rel_deadlines.resize(path.nodes.size());
     for (std::size_t i = 0; i < path.nodes.size(); ++i) {
       const NodeId id = path.nodes[i];
-      if (options_.respect_interior_bounds && is_set(state.lb[id.index()])) {
+      if (options.respect_interior_bounds && is_set(state.lb[id.index()])) {
         cursor = std::max(cursor, state.lb[id.index()]);
       }
       const Time v = finder.virtual_cost(id);
@@ -71,7 +70,7 @@ DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
       rel_deadlines[i] = d;
       cursor += d;
     }
-    if (options_.respect_interior_bounds) {
+    if (options.respect_interior_bounds) {
       // Backward clamp: no node's absolute deadline may exceed the earliest
       // deadline upper bound of itself or any later path node.
       Time cap = path.window_end;
@@ -114,7 +113,7 @@ DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
     }
 
     SlicedPath record;
-    record.nodes = path.nodes;
+    record.nodes = std::move(path.nodes);
     record.window_start = path.window_start;
     record.window_end = path.window_end;
     record.ratio = ratio;
@@ -124,7 +123,30 @@ DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
   }
 
   FEAST_ENSURE(result.complete());
+  // Published once per distribution, so an installed sink costs three
+  // buffer updates here and nothing inside the search.
+  if (obs::Sink* const sink = obs::active()) {
+    obs::count_on(sink, obs::Counter::DistIterations,
+                  static_cast<std::uint64_t>(iteration));
+    obs::count_on(sink, obs::Counter::DistLbGroups, finder.stats().lb_groups);
+    obs::count_on(sink, obs::Counter::DistDpCells, finder.stats().dp_cells);
+  }
   return result;
+}
+
+}  // namespace
+
+DeadlineDistributor::DeadlineDistributor(SliceMetric& metric,
+                                         const CommCostEstimator& estimator,
+                                         SlicingOptions options)
+    : metric_(&metric), estimator_(&estimator), options_(options) {}
+
+std::string DeadlineDistributor::describe() const {
+  return metric_->name() + "+" + estimator_->name();
+}
+
+DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
+  return slice<CriticalPathFinder>(graph, *metric_, *estimator_, options_);
 }
 
 DeadlineAssignment distribute_deadlines(const TaskGraph& graph, SliceMetric& metric,
@@ -132,6 +154,12 @@ DeadlineAssignment distribute_deadlines(const TaskGraph& graph, SliceMetric& met
                                         SlicingOptions options) {
   DeadlineDistributor distributor(metric, estimator, options);
   return distributor.distribute(graph);
+}
+
+DeadlineAssignment distribute_deadlines_ref(const TaskGraph& graph, SliceMetric& metric,
+                                            const CommCostEstimator& estimator,
+                                            SlicingOptions options) {
+  return slice<CriticalPathFinderRef>(graph, metric, estimator, options);
 }
 
 SlicingDistributor::SlicingDistributor(std::unique_ptr<SliceMetric> metric,

@@ -73,6 +73,14 @@ DeadlineAssignment distribute_deadlines(const TaskGraph& graph, SliceMetric& met
                                         const CommCostEstimator& estimator,
                                         SlicingOptions options = {});
 
+/// The same algorithm driven by the retained reference critical-path search
+/// (CriticalPathFinderRef).  Produces an assignment byte-identical to
+/// distribute_deadlines — `feastc diffdist` (core/diffdist.hpp) enforces
+/// this.  Use it as the oracle in tests and benchmarks, not in hot paths.
+DeadlineAssignment distribute_deadlines_ref(const TaskGraph& graph, SliceMetric& metric,
+                                            const CommCostEstimator& estimator,
+                                            SlicingOptions options = {});
+
 /// Owning Distributor adapter over the slicing algorithm, for heterogeneous
 /// strategy sets in benches and the experiment runner.
 class SlicingDistributor final : public Distributor {

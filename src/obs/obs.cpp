@@ -61,6 +61,9 @@ const char* to_string(Counter counter) noexcept {
     case Counter::ServeWorkerLease: return "serve.worker.lease";
     case Counter::ServeWorkerResult: return "serve.worker.result";
     case Counter::ServeWorkerLost: return "serve.worker.lost";
+    case Counter::DistIterations: return "dist.iterations";
+    case Counter::DistLbGroups: return "dist.lb_groups";
+    case Counter::DistDpCells: return "dist.dp_cells";
   }
   return "?";
 }

@@ -89,8 +89,11 @@ enum class Counter : std::uint8_t {
   ServeWorkerResult,   ///< Serve: remote worker result frame accepted.
   ServeWorkerLost,     ///< Serve: remote worker declared lost (heartbeat or
                        ///< lease deadline missed; its cells requeue uncharged).
+  DistIterations,  ///< Slicing: critical paths sliced (one per iteration).
+  DistLbGroups,    ///< Slicing: lb-group DP sweeps in the critical-path search.
+  DistDpCells,     ///< Slicing: DP cells the critical-path search initialized.
 };
-inline constexpr std::size_t kCounterCount = 28;
+inline constexpr std::size_t kCounterCount = 31;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;

@@ -1,7 +1,11 @@
 /// \file test_path_finder.cpp
 /// \brief Unit tests for the exact critical-path search over the residual
-///        graph.
+///        graph.  Every case runs on both finders: the sparse
+///        CriticalPathFinder the distributor uses and the retained
+///        CriticalPathFinderRef.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/comm_estimator.hpp"
 #include "core/metrics.hpp"
@@ -10,6 +14,19 @@
 
 namespace feast {
 namespace {
+
+/// Runs \p body once per finder type, labelling failures with the finder.
+template <class Body>
+void on_both_finders(Body&& body) {
+  {
+    SCOPED_TRACE("CriticalPathFinder");
+    body.template operator()<CriticalPathFinder>();
+  }
+  {
+    SCOPED_TRACE("CriticalPathFinderRef");
+    body.template operator()<CriticalPathFinderRef>();
+  }
+}
 
 /// Parallel two-branch graph with a common window [0, 100]:
 ///   a(10) -> b(10) -> out(10)   (short branch through b)
@@ -53,18 +70,20 @@ TEST(PathFinder, PureSelectsHeavyBranch) {
   PureMetric metric;
   metric.prepare(f.g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(f.g, metric, ccne);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
 
-  const auto result = finder.find(f.fresh_state());
-  ASSERT_TRUE(result.has_value());
-  // Heavy branch: Σc = 70, 3 hops, R = (100-70)/3 = 10.
-  // Short branch: Σc = 30, 3 hops, R = (100-30)/3 ≈ 23.3.
-  EXPECT_NEAR(result->ratio, 10.0, 1e-9);
-  EXPECT_EQ(result->eval.effective_hops, 3);
-  EXPECT_NEAR(result->eval.sum_virtual, 70.0, 1e-9);
-  EXPECT_EQ(f.comp_nodes(result->nodes), (std::vector<NodeId>{f.a, f.c, f.out}));
-  EXPECT_DOUBLE_EQ(result->window_start, 0.0);
-  EXPECT_DOUBLE_EQ(result->window_end, 100.0);
+    const auto result = finder.find(f.fresh_state());
+    ASSERT_TRUE(result.has_value());
+    // Heavy branch: Σc = 70, 3 hops, R = (100-70)/3 = 10.
+    // Short branch: Σc = 30, 3 hops, R = (100-30)/3 ≈ 23.3.
+    EXPECT_NEAR(result->ratio, 10.0, 1e-9);
+    EXPECT_EQ(result->eval.effective_hops, 3);
+    EXPECT_NEAR(result->eval.sum_virtual, 70.0, 1e-9);
+    EXPECT_EQ(f.comp_nodes(result->nodes), (std::vector<NodeId>{f.a, f.c, f.out}));
+    EXPECT_DOUBLE_EQ(result->window_start, 0.0);
+    EXPECT_DOUBLE_EQ(result->window_end, 100.0);
+  });
 }
 
 TEST(PathFinder, NormSelectsHeavyBranchWithProportionalRatio) {
@@ -72,13 +91,15 @@ TEST(PathFinder, NormSelectsHeavyBranchWithProportionalRatio) {
   NormMetric metric;
   metric.prepare(f.g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(f.g, metric, ccne);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
 
-  const auto result = finder.find(f.fresh_state());
-  ASSERT_TRUE(result.has_value());
-  // R = (100 - 70) / 70.
-  EXPECT_NEAR(result->ratio, 30.0 / 70.0, 1e-9);
-  EXPECT_EQ(f.comp_nodes(result->nodes), (std::vector<NodeId>{f.a, f.c, f.out}));
+    const auto result = finder.find(f.fresh_state());
+    ASSERT_TRUE(result.has_value());
+    // R = (100 - 70) / 70.
+    EXPECT_NEAR(result->ratio, 30.0 / 70.0, 1e-9);
+    EXPECT_EQ(f.comp_nodes(result->nodes), (std::vector<NodeId>{f.a, f.c, f.out}));
+  });
 }
 
 TEST(PathFinder, CcaaCountsCommunicationHops) {
@@ -86,17 +107,19 @@ TEST(PathFinder, CcaaCountsCommunicationHops) {
   PureMetric metric;
   metric.prepare(f.g);
   CcaaEstimator ccaa;
-  CriticalPathFinder finder(f.g, metric, ccaa);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccaa);
 
-  const auto result = finder.find(f.fresh_state());
-  ASSERT_TRUE(result.has_value());
-  // Heavy branch now has 5 effective nodes: 70 + 2 messages x 5 = 80.
-  // R = (100 - 80)/5 = 4.
-  EXPECT_EQ(result->eval.effective_hops, 5);
-  EXPECT_NEAR(result->eval.sum_virtual, 80.0, 1e-9);
-  EXPECT_NEAR(result->ratio, 4.0, 1e-9);
-  // The path sequence includes the communication nodes.
-  EXPECT_EQ(result->nodes.size(), 5u);
+    const auto result = finder.find(f.fresh_state());
+    ASSERT_TRUE(result.has_value());
+    // Heavy branch now has 5 effective nodes: 70 + 2 messages x 5 = 80.
+    // R = (100 - 80)/5 = 4.
+    EXPECT_EQ(result->eval.effective_hops, 5);
+    EXPECT_NEAR(result->eval.sum_virtual, 80.0, 1e-9);
+    EXPECT_NEAR(result->ratio, 4.0, 1e-9);
+    // The path sequence includes the communication nodes.
+    EXPECT_EQ(result->nodes.size(), 5u);
+  });
 }
 
 TEST(PathFinder, CcneExcludesCommunicationFromHops) {
@@ -104,13 +127,15 @@ TEST(PathFinder, CcneExcludesCommunicationFromHops) {
   PureMetric metric;
   metric.prepare(f.g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(f.g, metric, ccne);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
 
-  const auto result = finder.find(f.fresh_state());
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->eval.effective_hops, 3);
-  // Comm nodes still appear in the node sequence (they need windows).
-  EXPECT_EQ(result->nodes.size(), 5u);
+    const auto result = finder.find(f.fresh_state());
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->eval.effective_hops, 3);
+    // Comm nodes still appear in the node sequence (they need windows).
+    EXPECT_EQ(result->nodes.size(), 5u);
+  });
 }
 
 TEST(PathFinder, SecondIterationSeesResidualGraph) {
@@ -118,36 +143,38 @@ TEST(PathFinder, SecondIterationSeesResidualGraph) {
   PureMetric metric;
   metric.prepare(f.g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(f.g, metric, ccne);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
 
-  ResidualState state = f.fresh_state();
-  const auto first = finder.find(state);
-  ASSERT_TRUE(first.has_value());
-  // Simulate the distributor: assign the heavy path and attach b's bounds.
-  for (const NodeId id : first->nodes) state.assigned[id.index()] = true;
-  // a got window [0, 20], out got [80, 100] (say); b's bounds follow.
-  state.lb[f.b.index()] = 20.0;
-  state.ub[f.b.index()] = 80.0;
-  const NodeId comm_ab = f.g.succs(f.a)[0];  // a->b comm node
-  const NodeId comm_bo = f.g.preds(f.out)[0] == comm_ab ? f.g.preds(f.out)[1]
-                                                        : f.g.preds(f.out)[0];
-  // Find which comm nodes touch b.
-  std::vector<NodeId> residual_comms;
-  for (const NodeId comm : f.g.communication_nodes()) {
-    if (!state.assigned[comm.index()]) residual_comms.push_back(comm);
-  }
-  for (const NodeId comm : residual_comms) {
-    state.lb[comm.index()] = 20.0;
-    state.ub[comm.index()] = 80.0;
-  }
-  (void)comm_bo;
+    ResidualState state = f.fresh_state();
+    const auto first = finder.find(state);
+    ASSERT_TRUE(first.has_value());
+    // Simulate the distributor: assign the heavy path and attach b's bounds.
+    for (const NodeId id : first->nodes) state.assigned[id.index()] = true;
+    // a got window [0, 20], out got [80, 100] (say); b's bounds follow.
+    state.lb[f.b.index()] = 20.0;
+    state.ub[f.b.index()] = 80.0;
+    const NodeId comm_ab = f.g.succs(f.a)[0];  // a->b comm node
+    const NodeId comm_bo = f.g.preds(f.out)[0] == comm_ab ? f.g.preds(f.out)[1]
+                                                          : f.g.preds(f.out)[0];
+    // Find which comm nodes touch b.
+    std::vector<NodeId> residual_comms;
+    for (const NodeId comm : f.g.communication_nodes()) {
+      if (!state.assigned[comm.index()]) residual_comms.push_back(comm);
+    }
+    for (const NodeId comm : residual_comms) {
+      state.lb[comm.index()] = 20.0;
+      state.ub[comm.index()] = 80.0;
+    }
+    (void)comm_bo;
 
-  const auto second = finder.find(state);
-  ASSERT_TRUE(second.has_value());
-  // Residual path: (a->b comm), b, (b->out comm); only b is effective.
-  EXPECT_EQ(f.comp_nodes(second->nodes), (std::vector<NodeId>{f.b}));
-  EXPECT_EQ(second->eval.effective_hops, 1);
-  EXPECT_NEAR(second->ratio, (80.0 - 20.0 - 10.0) / 1.0, 1e-9);
+    const auto second = finder.find(state);
+    ASSERT_TRUE(second.has_value());
+    // Residual path: (a->b comm), b, (b->out comm); only b is effective.
+    EXPECT_EQ(f.comp_nodes(second->nodes), (std::vector<NodeId>{f.b}));
+    EXPECT_EQ(second->eval.effective_hops, 1);
+    EXPECT_NEAR(second->ratio, (80.0 - 20.0 - 10.0) / 1.0, 1e-9);
+  });
 }
 
 TEST(PathFinder, ExhaustedResidualReturnsNullopt) {
@@ -155,11 +182,13 @@ TEST(PathFinder, ExhaustedResidualReturnsNullopt) {
   PureMetric metric;
   metric.prepare(f.g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(f.g, metric, ccne);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
 
-  ResidualState state = f.fresh_state();
-  for (const NodeId id : f.g.all_nodes()) state.assigned[id.index()] = true;
-  EXPECT_FALSE(finder.find(state).has_value());
+    ResidualState state = f.fresh_state();
+    for (const NodeId id : f.g.all_nodes()) state.assigned[id.index()] = true;
+    EXPECT_FALSE(finder.find(state).has_value());
+  });
 }
 
 TEST(PathFinder, MultipleSourcesWithDifferentBounds) {
@@ -182,13 +211,15 @@ TEST(PathFinder, MultipleSourcesWithDifferentBounds) {
   PureMetric metric;
   metric.prepare(g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(g, metric, ccne);
-  const auto result = finder.find(state);
-  ASSERT_TRUE(result.has_value());
-  // Path from a2: window 60, Σc 20, 2 hops -> R = 20.
-  // Path from a1: window 100, Σc 20, 2 hops -> R = 40.
-  EXPECT_NEAR(result->ratio, 20.0, 1e-9);
-  EXPECT_DOUBLE_EQ(result->window_start, 40.0);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, metric, ccne);
+    const auto result = finder.find(state);
+    ASSERT_TRUE(result.has_value());
+    // Path from a2: window 60, Σc 20, 2 hops -> R = 20.
+    // Path from a1: window 100, Σc 20, 2 hops -> R = 40.
+    EXPECT_NEAR(result->ratio, 20.0, 1e-9);
+    EXPECT_DOUBLE_EQ(result->window_start, 40.0);
+  });
 }
 
 TEST(PathFinder, VirtualCostsExposedForInspection) {
@@ -196,13 +227,15 @@ TEST(PathFinder, VirtualCostsExposedForInspection) {
   ThresMetric metric(1.0, 1.25);  // MET = 20, c_thres = 25: only c inflates
   metric.prepare(f.g);
   CcaaEstimator ccaa;
-  CriticalPathFinder finder(f.g, metric, ccaa);
-  EXPECT_DOUBLE_EQ(finder.effective_cost(f.c), 50.0);
-  EXPECT_DOUBLE_EQ(finder.virtual_cost(f.c), 100.0);
-  EXPECT_DOUBLE_EQ(finder.virtual_cost(f.a), 10.0);
-  const NodeId comm = f.g.succs(f.a)[0];
-  EXPECT_DOUBLE_EQ(finder.effective_cost(comm), 4.0);
-  EXPECT_DOUBLE_EQ(finder.virtual_cost(comm), 4.0);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccaa);
+    EXPECT_DOUBLE_EQ(finder.effective_cost(f.c), 50.0);
+    EXPECT_DOUBLE_EQ(finder.virtual_cost(f.c), 100.0);
+    EXPECT_DOUBLE_EQ(finder.virtual_cost(f.a), 10.0);
+    const NodeId comm = f.g.succs(f.a)[0];
+    EXPECT_DOUBLE_EQ(finder.effective_cost(comm), 4.0);
+    EXPECT_DOUBLE_EQ(finder.virtual_cost(comm), 4.0);
+  });
 }
 
 TEST(PathFinder, SymmetricTiesBreakDeterministically) {
@@ -224,20 +257,22 @@ TEST(PathFinder, SymmetricTiesBreakDeterministically) {
   PureMetric metric;
   metric.prepare(g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(g, metric, ccne);
-  ResidualState state(g.node_count());
-  state.lb[a.index()] = 0.0;
-  state.ub[z.index()] = 100.0;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, metric, ccne);
+    ResidualState state(g.node_count());
+    state.lb[a.index()] = 0.0;
+    state.ub[z.index()] = 100.0;
 
-  const auto first = finder.find(state);
-  const auto second = finder.find(state);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(first->nodes, second->nodes);
-  // The tie goes to b1 (earlier node id).
-  bool has_b1 = false;
-  for (const NodeId id : first->nodes) has_b1 = has_b1 || id == b1;
-  EXPECT_TRUE(has_b1);
+    const auto first = finder.find(state);
+    const auto second = finder.find(state);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(first->nodes, second->nodes);
+    // The tie goes to b1 (earlier node id).
+    bool has_b1 = false;
+    for (const NodeId id : first->nodes) has_b1 = has_b1 || id == b1;
+    EXPECT_TRUE(has_b1);
+  });
 }
 
 TEST(PathFinder, SingleNodeGraph) {
@@ -253,11 +288,122 @@ TEST(PathFinder, SingleNodeGraph) {
   PureMetric metric;
   metric.prepare(g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(g, metric, ccne);
-  const auto result = finder.find(state);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->nodes, std::vector<NodeId>{only});
-  EXPECT_NEAR(result->ratio, 40.0, 1e-9);
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, metric, ccne);
+    const auto result = finder.find(state);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->nodes, std::vector<NodeId>{only});
+    EXPECT_NEAR(result->ratio, 40.0, 1e-9);
+  });
+}
+
+TEST(PathFinder, WinningGroupSweptBeforeTheLastKeepsItsPath) {
+  // Two lb groups, swept in first-appearance order: a1's (lb 50) first,
+  // a2's (lb 0) last.  The winner is a1 -> m -> z, but the last sweep
+  // relaxes m and z again from a2 and leaves z's best 3-hop parent on the
+  // heavier a2 -> n -> z.  The reported path must still be the winner's.
+  TaskGraph g;
+  const NodeId a1 = g.add_subtask("a1", 10.0);
+  const NodeId a2 = g.add_subtask("a2", 10.0);
+  const NodeId m = g.add_subtask("m", 10.0);
+  const NodeId n = g.add_subtask("n", 30.0);
+  const NodeId z = g.add_subtask("z", 10.0);
+  g.add_precedence(a1, m, 0.0);
+  g.add_precedence(a2, m, 0.0);
+  g.add_precedence(a2, n, 0.0);
+  g.add_precedence(m, z, 0.0);
+  g.add_precedence(n, z, 0.0);
+  g.set_boundary_release(a1, 50.0);
+  g.set_boundary_release(a2, 0.0);
+  g.set_boundary_deadline(z, 100.0);
+
+  ResidualState state(g.node_count());
+  state.lb[a1.index()] = 50.0;
+  state.lb[a2.index()] = 0.0;
+  state.ub[z.index()] = 100.0;
+
+  PureMetric metric;
+  metric.prepare(g);
+  CcneEstimator ccne;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, metric, ccne);
+    const auto result = finder.find(state);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(finder.stats().lb_groups, 2u);
+    // a1 group: W 50, Σ 30, 3 hops -> R = 20/3.  a2 group: a2-n-z has
+    // Σ 50, R = 50/3; a2-m-z has Σ 30, R = 70/3.
+    EXPECT_NEAR(result->ratio, 20.0 / 3.0, 1e-9);
+    EXPECT_DOUBLE_EQ(result->window_start, 50.0);
+    EXPECT_DOUBLE_EQ(result->window_end, 100.0);
+    std::vector<NodeId> comp;
+    for (const NodeId id : result->nodes) {
+      if (g.is_computation(id)) comp.push_back(id);
+    }
+    EXPECT_EQ(comp, (std::vector<NodeId>{a1, m, z}));
+    EXPECT_EQ(result->nodes.front(), a1);
+    EXPECT_EQ(result->nodes.back(), z);
+  });
+}
+
+TEST(PathFinder, FrontierFollowsStatesThatMoveBackwards) {
+  // A finder handed an arbitrary sequence of states (not only the
+  // distributor's monotone one) must answer each as if it were the first.
+  TwoBranch f;
+  PureMetric metric;
+  metric.prepare(f.g);
+  CcneEstimator ccne;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(f.g, metric, ccne);
+    const auto fresh = finder.find(f.fresh_state());
+    ASSERT_TRUE(fresh.has_value());
+
+    ResidualState all = f.fresh_state();
+    for (const NodeId id : f.g.all_nodes()) all.assigned[id.index()] = true;
+    EXPECT_FALSE(finder.find(all).has_value());
+
+    const auto again = finder.find(f.fresh_state());
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->nodes, fresh->nodes);
+    EXPECT_EQ(again->ratio, fresh->ratio);
+  });
+}
+
+TEST(PathFinder, InterleavedFindersShareTheThreadScratch) {
+  // The sparse finder's DP tables are thread-local and shared by every
+  // finder on the thread; alternating finds over graphs of different sizes
+  // must not leak one finder's rows into the other's answer.
+  TwoBranch small;
+  TaskGraph big;
+  std::vector<NodeId> chain;
+  for (int i = 0; i < 70; ++i) {
+    chain.push_back(big.add_subtask("c" + std::to_string(i), 1.0 + i % 7));
+    if (i > 0) big.add_precedence(chain[i - 1], chain[i], 1.0);
+  }
+  big.set_boundary_release(chain.front(), 0.0);
+  big.set_boundary_deadline(chain.back(), 1000.0);
+  ResidualState big_state(big.node_count());
+  big_state.lb[chain.front().index()] = 0.0;
+  big_state.ub[chain.back().index()] = 1000.0;
+
+  PureMetric metric;
+  metric.prepare(small.g);
+  CcaaEstimator ccaa;
+  CriticalPathFinder small_fast(small.g, metric, ccaa);
+  CriticalPathFinderRef small_ref(small.g, metric, ccaa);
+  CriticalPathFinder big_fast(big, metric, ccaa);
+  CriticalPathFinderRef big_ref(big, metric, ccaa);
+  for (int round = 0; round < 3; ++round) {
+    const auto bf = big_fast.find(big_state);
+    const auto sf = small_fast.find(small.fresh_state());
+    const auto br = big_ref.find(big_state);
+    const auto sr = small_ref.find(small.fresh_state());
+    ASSERT_TRUE(bf && sf && br && sr);
+    EXPECT_EQ(bf->nodes, br->nodes);
+    EXPECT_EQ(bf->ratio, br->ratio);
+    EXPECT_EQ(sf->nodes, sr->nodes);
+    EXPECT_EQ(sf->ratio, sr->ratio);
+    EXPECT_EQ(bf->nodes.size(), big.node_count());
+  }
 }
 
 }  // namespace
