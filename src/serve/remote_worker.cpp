@@ -144,7 +144,7 @@ int run_remote_worker(const RemoteWorkerOptions& options,
   };
 
   // Executes one leased cell through the same exec-cell argv and attempt
-  // decoder as the local WorkerPool.  A healthy result ships the shard
+  // decoder as the daemon's local pool.  A healthy result ships the shard
   // file's bytes unparsed: the daemon classifies torn frames as `net`.
   const auto execute = [&](const Lease& lease) -> supervise::AttemptResult {
     const std::string spec_hash = hash_hex(fnv1a64(lease.spec));

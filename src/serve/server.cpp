@@ -22,8 +22,7 @@
 #include "campaign/campaign.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "supervise/attempts.hpp"
-#include "supervise/worker_pool.hpp"
+#include "supervise/dispatcher.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
 #include "util/net.hpp"
@@ -108,30 +107,22 @@ struct CampaignLink {
 /// One deduplicated unit of work: a cell, keyed by its canonical cache
 /// identity (all requests for the same bytes share this object).
 struct CellJob {
-  enum class State { Queued, Running, Done, Failed };
+  enum class State { Pending, Done, Failed };
 
   std::string key;
-  std::string spec_path;
   std::size_t cell_index = 0;
   std::string canonical;
   std::string inject;
-  std::string client;  ///< Fair-queue owner (first submitter).
-  supervise::AttemptLedger ledger;  ///< Attempts charged, workers lost.
-  State state = State::Queued;
+  State state = State::Pending;          ///< Pending: the dispatcher's unit.
+  int attempts = 0;                      ///< Charged attempts once terminal.
   supervise::ShardResult shard;          ///< Valid once Done.
   supervise::ErrorKind kind = supervise::ErrorKind::None;
   std::string error;                     ///< Valid once Failed.
-  std::uint64_t ticket = 0;              ///< Pool lease while Running.
   std::vector<std::uint64_t> waiters;    ///< Conns wanting a /v1/cell reply.
   std::vector<CampaignLink> campaigns;   ///< Campaigns wanting this cell.
   obs::Sink* sink = nullptr;             ///< Dispatch span: enqueue → terminal.
   std::uint64_t span_start_ns = 0;
-
-  // Remote-lease state (empty lease token ⇔ local pool or not leased).
-  std::string lease;            ///< Lease token while Running on a remote.
-  std::string lease_worker;     ///< Worker id holding the lease.
-  Clock::time_point lease_deadline{};  ///< Requeue uncharged past this.
-  obs::Sink* lease_sink = nullptr;     ///< serve/lease span: grant → settle.
+  obs::Sink* lease_sink = nullptr;       ///< serve/lease span: grant → settle.
   std::uint64_t lease_span_start_ns = 0;
 
   bool terminal() const noexcept {
@@ -144,7 +135,6 @@ struct RemoteWorker {
   std::string id;    ///< Daemon-assigned token; the worker echoes it back.
   std::string name;  ///< Operator-chosen identity; poison counts names.
   int slots = 1;
-  std::size_t leases = 0;  ///< Cells currently out on lease.
   Clock::time_point last_seen = Clock::now();
   std::uint64_t cells_ok = 0;
   /// Failure tallies indexed by supervise::ErrorKind (None..Net).
@@ -169,6 +159,9 @@ struct CampaignJob {
 constexpr std::size_t kMaxTerminalMemo = 4096;
 constexpr std::size_t kMaxSpecMemo = 512;
 
+// Serve retries a failed attempt at once: a request is waiting on it.
+constexpr supervise::BackoffPolicy kNoBackoff{0.0, 0.0, 0};
+
 }  // namespace
 
 // ------------------------------------------------------------------- Impl
@@ -181,7 +174,9 @@ struct Server::Impl {
   Server& server;
   net::TcpListener listener;
   std::optional<ResultCache> cache;
-  std::unique_ptr<supervise::WorkerPool> pool;
+  /// The fair queue (one client per X-Feast-Client), the local pool and
+  /// the remote lease table.
+  std::optional<supervise::Dispatcher> dispatcher;
 
   std::map<std::uint64_t, Conn> conns;
   std::map<std::string, CellJob> jobs;  ///< Keyed by dedup key; Done memoized.
@@ -193,11 +188,6 @@ struct Server::Impl {
   std::deque<std::uint64_t> pump_queue;  ///< Conns with pipelined bytes to
                                          ///< re-parse after their reply.
 
-  // Per-client FIFO queues of queued job keys, drained round-robin.
-  std::map<std::string, std::deque<std::string>> queues;
-  std::vector<std::string> rr_clients;
-  std::size_t rr_cursor = 0;
-
   // The remote worker fabric: registered `feastc worker` peers by id, and
   // the name → id map that makes a re-registration replace (and implicitly
   // declare dead) the previous incarnation of the same name.
@@ -207,9 +197,7 @@ struct Server::Impl {
   std::uint64_t next_conn_id = 1;
   std::uint64_t next_campaign_id = 1;
   std::uint64_t next_worker_id = 1;
-  std::uint64_t next_lease_id = 1;
   bool draining = false;
-  Clock::time_point drain_deadline{};
 
   // Monotonic counters + gauges (atomic: stats() reads cross-thread).
   std::atomic<std::uint64_t> accepted{0}, requests{0}, parse_errors{0}, shed{0},
@@ -218,52 +206,9 @@ struct Server::Impl {
   std::atomic<std::size_t> gauge_queue{0}, gauge_running{0}, gauge_conns{0},
       gauge_workers{0}, gauge_leases{0};
 
-  /// Effective per-lease deadline: explicit knob, else derived from the
-  /// worker watchdog (the remote runs the same exec-cell under the same
-  /// timeout, plus escalation grace and network slack), else a minute.
-  double lease_timeout() const {
-    if (opt.lease_timeout_s > 0.0) return opt.lease_timeout_s;
-    if (opt.cell_timeout_s > 0.0) {
-      return opt.cell_timeout_s + opt.term_grace_s + 5.0;
-    }
-    return 60.0;
-  }
-
   // ------------------------------------------------------------- plumbing
-  std::size_t queue_depth() const {
-    std::size_t depth = 0;
-    for (const auto& [client, queue] : queues) depth += queue.size();
-    return depth;
-  }
-
   void log_line(const std::string& line) {
     if (opt.log != nullptr) *opt.log << "serve: " << line << std::endl;
-  }
-
-  /// Enqueues a job key on its owner's fair queue.
-  void enqueue(const CellJob& job) {
-    auto [it, inserted] = queues.try_emplace(job.client);
-    if (inserted) rr_clients.push_back(job.client);
-    it->second.push_back(job.key);
-  }
-
-  /// Pops the next queued job key round-robin across clients ("" if none).
-  std::string next_queued() {
-    if (rr_clients.empty()) return {};
-    for (std::size_t i = 0; i < rr_clients.size(); ++i) {
-      rr_cursor = (rr_cursor + 1) % rr_clients.size();
-      auto& queue = queues[rr_clients[rr_cursor]];
-      while (!queue.empty()) {
-        std::string key = std::move(queue.front());
-        queue.pop_front();
-        const auto it = jobs.find(key);
-        if (it != jobs.end() && it->second.state == CellJob::State::Queued) {
-          return key;
-        }
-        // Stale entry (job already resolved or re-queued elsewhere): skip.
-      }
-    }
-    return {};
   }
 
   /// Writes (once) the canonical spec file workers re-parse; returns its path.
@@ -355,7 +300,7 @@ struct Server::Impl {
                       ", \"state\": \"" +
                       (job.shard.from_cache ? "cached" : "computed") +
                       "\", \"wall_ms\": " + json_number(job.shard.wall_ms) +
-                      ", \"attempts\": " + std::to_string(job.ledger.attempts()) +
+                      ", \"attempts\": " + std::to_string(job.attempts) +
                       ",\n ";
     append_summary_json(out, "max_lateness", job.shard.stats.max_lateness);
     out += ", ";
@@ -459,74 +404,70 @@ struct Server::Impl {
 
   static void apply_job_to_cell(const CellJob& job, CellOutcome& cell) {
     if (job.state == CellJob::State::Done) {
-      supervise::record_success(cell, job.shard, job.ledger.attempts());
+      supervise::record_success(cell, job.shard, job.attempts);
     } else {
-      supervise::record_quarantine(cell, job.ledger.attempts(), job.kind,
-                                   job.error);
+      supervise::record_quarantine(cell, job.attempts, job.kind, job.error);
     }
   }
 
   // ------------------------------------------------------------ dispatching
 
-  void dispatch() {
-    if (!pool) return;  // Remote-only daemon: cells wait for worker leases.
-    while (pool->free_slots() > 0) {
-      const std::string key = next_queued();
-      if (key.empty()) return;
-      CellJob& job = jobs[key];
-      const std::string inject = job.ledger.start(job.inject);
-      try {
-        job.ticket = pool->submit(job.spec_path, job.cell_index, inject);
-      } catch (const std::exception& e) {
-        fail_or_retry(job, supervise::ErrorKind::Io, e.what());
-        continue;
-      }
-      job.state = CellJob::State::Running;
-      dispatched.fetch_add(1, std::memory_order_relaxed);
-      obs::count(obs::Counter::ServeDispatch);
+  /// One dispatcher tick: harvest, spawn, expire.  A lost lease reported
+  /// here is one whose deadline passed, which takes its worker down.
+  void step() {
+    const std::uint64_t spawned = dispatcher->spawned();
+    for (supervise::Dispatcher::Event& event : dispatcher->step()) {
+      if (!event.worker.empty()) drop_worker(event.worker, "lease deadline missed");
+      on_event(std::move(event));
+    }
+    if (const std::uint64_t n = dispatcher->spawned() - spawned; n > 0) {
+      dispatched.fetch_add(n, std::memory_order_relaxed);
+      obs::count(obs::Counter::ServeDispatch, n);
     }
   }
 
-  /// Hands a failed attempt to the job's ledger.  Inside the drain window
-  /// the attempt is released instead and the cell is turned away exactly
-  /// like never-dispatched work.
-  void fail_or_retry(CellJob& job, supervise::ErrorKind kind, std::string error) {
-    if (!draining) {
-      apply_verdict(job, job.ledger.fail(kind, std::move(error)));
-      return;
-    }
-    job.ledger.release();
-    job.state = CellJob::State::Queued;
-    turn_away(job);
+  void on_events(std::vector<supervise::Dispatcher::Event> events) {
+    for (supervise::Dispatcher::Event& event : events) on_event(std::move(event));
   }
 
-  /// Acts on a ledger verdict: requeue \p job at once (serve's zero backoff
-  /// makes every retry due now), or settle it as Failed.
-  void apply_verdict(CellJob& job, supervise::AttemptVerdict verdict) {
+  /// Applies what the dispatcher decided for a job: settle it Done or
+  /// Failed, log an uncharged requeue, or (drain) turn it away.  Retries
+  /// need nothing: serve's zero backoff makes them due at once.
+  void on_event(supervise::Dispatcher::Event event) {
+    using Kind = supervise::Dispatcher::Event::Kind;
+    if (!event.worker.empty()) requeued.fetch_add(1, std::memory_order_relaxed);
+    CellJob& job = jobs.at(event.key);  // Pending jobs are never evicted.
+    end_span(job.lease_sink, obs::Span::ServeLease, job.lease_span_start_ns);
     const std::string cell = "cell " + std::to_string(job.cell_index);
-    if (!verdict.quarantined()) {
-      if (verdict.action == supervise::AttemptVerdict::Action::Requeue) {
-        log_line(cell + " requeued uncharged (" + verdict.error + ")");
-      }
-      job.state = CellJob::State::Queued;
-      enqueue(job);
-      return;
+    switch (event.kind) {
+      case Kind::Done:
+        job.state = CellJob::State::Done;
+        job.attempts = event.attempts;
+        job.shard = std::move(event.shard);
+        completed.fetch_add(1, std::memory_order_relaxed);
+        settle_job(job);
+        break;
+      case Kind::Quarantined:
+        log_line(cell + " quarantined after " + std::to_string(event.attempts) +
+                 " attempts [" + supervise::to_string(event.error_kind) + "] — " +
+                 event.error);
+        job.state = CellJob::State::Failed;
+        job.attempts = event.attempts;
+        job.kind = event.error_kind;
+        job.error = std::move(event.error);
+        failed.fetch_add(1, std::memory_order_relaxed);
+        settle_job(job);
+        break;
+      case Kind::Requeued:
+        log_line(cell + " requeued uncharged (" + event.error + ")");
+        break;
+      case Kind::Retry:
+        break;
+      case Kind::Released:  // Drain: the campaign rows stay Pending.
+        turn_away(job.waiters);
+        job.campaigns.clear();
+        break;
     }
-    log_line(cell + " quarantined after " + std::to_string(verdict.attempts) +
-             " attempts [" + supervise::to_string(verdict.kind) + "] — " +
-             verdict.error);
-    job.state = CellJob::State::Failed;
-    job.kind = verdict.kind;
-    job.error = std::move(verdict.error);
-    failed.fetch_add(1, std::memory_order_relaxed);
-    settle_job(job);
-  }
-
-  /// Drain: answers \p job's waiters 503 and detaches its campaign rows,
-  /// which stay Pending in the checkpoint.
-  void turn_away(CellJob& job) {
-    turn_away(job.waiters);
-    job.campaigns.clear();
   }
 
   void turn_away(std::vector<std::uint64_t>& waiters) {
@@ -536,59 +477,12 @@ struct Server::Impl {
     waiters.clear();
   }
 
-  /// The Running job \p match accepts (by pool ticket or lease token), or
-  /// nullptr when it expired or settled.
-  template <class Match>
-  CellJob* running_job(Match match) {
-    for (auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Running && match(job)) return &job;
-    }
-    return nullptr;
-  }
-
-  void harvest() {
-    if (!pool) return;
-    for (supervise::WorkerOutcome& outcome : pool->poll()) {
-      CellJob* job = running_job(
-          [&](const CellJob& j) { return j.ticket == outcome.ticket; });
-      if (job == nullptr) continue;  // Lease already abandoned (drain).
-      job->ticket = 0;
-      if (outcome.ok()) {
-        job->state = CellJob::State::Done;
-        job->shard = outcome.shard;
-        completed.fetch_add(1, std::memory_order_relaxed);
-        settle_job(*job);
-      } else {
-        fail_or_retry(*job, outcome.kind, outcome.error);
-      }
-    }
-  }
-
   // ------------------------------------------------------ remote worker fabric
 
-  /// Returns the remote lease and closes its span; the job stays in
-  /// whatever state the caller assigns next.
-  void release_lease(CellJob& job) {
-    if (!job.lease.empty()) {
-      const auto it = workers.find(job.lease_worker);
-      if (it != workers.end() && it->second.leases > 0) --it->second.leases;
-      job.lease.clear();
-      job.lease_worker.clear();
-    }
-    end_span(job.lease_sink, obs::Span::ServeLease, job.lease_span_start_ns);
-  }
-
-  /// A worker died (or vanished) while holding \p job: the ledger requeues
-  /// it uncharged, or quarantines it as `net` cross-worker poison.
-  void abandon_lease(CellJob& job, const std::string& worker_name,
-                     const std::string& why) {
-    release_lease(job);
-    requeued.fetch_add(1, std::memory_order_relaxed);
-    apply_verdict(job, job.ledger.lost(worker_name, why));
-  }
-
-  /// Deregisters \p worker_id and requeues every cell it held.
-  void drop_worker(const std::string& worker_id, const std::string& why) {
+  /// Deregisters \p worker_id (a no-op once it is gone) and requeues every
+  /// cell it held.  By value: callers may pass a reference into the
+  /// registry this erases.
+  void drop_worker(std::string worker_id, const std::string& why) {
     const auto it = workers.find(worker_id);
     if (it == workers.end()) return;
     const std::string name = it->second.name;
@@ -600,39 +494,15 @@ struct Server::Impl {
     workers_lost.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::ServeWorkerLost);
     log_line("worker '" + name + "' lost (" + why + ")");
-    // Collect first: abandon_lease can settle jobs, which may evict other
-    // terminal jobs from the map mid-iteration.
-    std::vector<std::string> held;
-    for (const auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Running && job.lease_worker == worker_id) {
-        held.push_back(key);
-      }
-    }
-    for (const std::string& key : held) {
-      const auto job_it = jobs.find(key);
-      if (job_it != jobs.end()) abandon_lease(job_it->second, name, why);
-    }
+    on_events(dispatcher->lost(worker_id, why));
   }
 
-  /// Failure detection, one poll tick: leases past their deadline take
-  /// their worker down (it is dead, partitioned, or hopelessly slow —
-  /// indistinguishable from here, treated identically); idle workers that
-  /// stopped polling are dropped on heartbeat age.
-  void sweep_workers() {
-    const auto now = Clock::now();
+  /// Idle workers that stopped polling are dropped on heartbeat age (a
+  /// worker holding a lease is judged by the lease deadline instead).
+  void sweep_heartbeats() {
     std::vector<std::string> lost;
-    for (const auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Running && !job.lease.empty() &&
-          now >= job.lease_deadline) {
-        lost.push_back(job.lease_worker);
-      }
-    }
-    for (const std::string& worker_id : lost) {
-      drop_worker(worker_id, "lease deadline missed");
-    }
-    lost.clear();
     for (const auto& [worker_id, worker] : workers) {
-      if (worker.leases == 0 &&
+      if (dispatcher->leases(worker_id) == 0 &&
           seconds_since(worker.last_seen) > opt.heartbeat_timeout_s) {
         lost.push_back(worker_id);
       }
@@ -671,19 +541,14 @@ struct Server::Impl {
       obs::count(obs::Counter::ServeDedup);
       return it->second;
     }
-    if (queue_depth() >= static_cast<std::size_t>(opt.max_queue)) {
+    if (dispatcher->queued() >= static_cast<std::size_t>(opt.max_queue)) {
       throw AdmissionShed{};
     }
     CellJob& job = jobs[key];
     job.key = key;
-    job.spec_path = spec_path;
     job.cell_index = cell.index;
     job.canonical = cell.canonical;
     job.inject = inject;
-    job.client = client;
-    // Zero backoff: a failed attempt goes straight back on its queue.
-    job.ledger = supervise::AttemptLedger(
-        {opt.max_attempts, {0.0, 0.0, 0}, opt.poison_worker_deaths}, cell.index);
     if ((job.sink = obs::active()) != nullptr) {
       job.span_start_ns = obs::detail::now_ns(*job.sink);
     }
@@ -704,8 +569,7 @@ struct Server::Impl {
       }
       obs::count(obs::Counter::CacheMiss);
     }
-    job.state = CellJob::State::Queued;
-    enqueue(job);
+    dispatcher->add({key, client, spec_path, cell.index, inject, ""});
     return job;
   }
 
@@ -854,7 +718,7 @@ struct Server::Impl {
         ++new_jobs;
       }
     }
-    if (queue_depth() + new_jobs > static_cast<std::size_t>(opt.max_queue)) {
+    if (dispatcher->queued() + new_jobs > static_cast<std::size_t>(opt.max_queue)) {
       shed.fetch_add(1, std::memory_order_relaxed);
       obs::count(obs::Counter::ServeShed);
       reply_busy(conn.id, 429,
@@ -944,7 +808,7 @@ struct Server::Impl {
              std::to_string(slots) + " slot(s))");
     reply_json(conn.id, 200,
                "{\"worker\": \"" + id + "\", \"poll_ms\": 50, "
-               "\"lease_timeout_s\": " + json_number(lease_timeout()) +
+               "\"lease_timeout_s\": " + json_number(dispatcher->lease_timeout_s()) +
                ", \"heartbeat_timeout_s\": " +
                json_number(opt.heartbeat_timeout_s) + "}\n");
   }
@@ -963,43 +827,37 @@ struct Server::Impl {
     }
     RemoteWorker& worker = it->second;
     worker.last_seen = Clock::now();  // The lease poll doubles as heartbeat.
-    std::string key;
-    if (worker.leases < static_cast<std::size_t>(worker.slots)) {
-      key = next_queued();
+    std::optional<supervise::Dispatcher::Lease> lease;
+    if (dispatcher->leases(worker.id) < static_cast<std::size_t>(worker.slots)) {
+      lease = dispatcher->lease(worker.id, worker.name);
     }
-    if (key.empty()) {
+    if (!lease) {
       reply_json(conn.id, 200, "{\"idle\": true, \"poll_ms\": 50}\n");
       return;
     }
-    CellJob& job = jobs.find(key)->second;
-    const std::string inject = job.ledger.start(job.inject);
-    std::ifstream spec_in(job.spec_path, std::ios::binary);
+    CellJob& job = jobs.at(lease->unit.key);
+    std::ifstream spec_in(lease->unit.spec_path, std::ios::binary);
     std::ostringstream spec_text;
     spec_text << spec_in.rdbuf();
     if (!spec_in) {
-      fail_or_retry(job, supervise::ErrorKind::Io,
-                    "cannot read spec file " + job.spec_path);
+      supervise::WorkerOutcome unreadable;
+      unreadable.kind = supervise::ErrorKind::Io;
+      unreadable.error = "cannot read spec file " + lease->unit.spec_path;
+      on_event(*dispatcher->settle(lease->token, std::move(unreadable)));
       reply_json(conn.id, 200, "{\"idle\": true, \"poll_ms\": 50}\n");
       return;
     }
-    job.state = CellJob::State::Running;
-    job.lease = "L" + std::to_string(next_lease_id++);
-    job.lease_worker = worker.id;
-    job.lease_deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(lease_timeout()));
     if ((job.lease_sink = obs::active()) != nullptr) {
       job.lease_span_start_ns = obs::detail::now_ns(*job.lease_sink);
     }
-    ++worker.leases;
     dispatched.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::ServeDispatch);
     obs::count(obs::Counter::ServeWorkerLease);
-    std::string body = "{\"lease\": \"" + job.lease +
-                       "\", \"cell\": " + std::to_string(job.cell_index) +
+    std::string body = "{\"lease\": \"" + lease->token +
+                       "\", \"cell\": " + std::to_string(lease->unit.cell) +
                        ", \"spec\": \"" + json_escape(spec_text.str()) + "\"";
-    if (!inject.empty()) {
-      body += ", \"inject\": \"" + json_escape(inject) + "\"";
+    if (!lease->inject.empty()) {
+      body += ", \"inject\": \"" + json_escape(lease->inject) + "\"";
     }
     body += ", \"timeout_s\": " + json_number(opt.cell_timeout_s) +
             ", \"threads\": " + std::to_string(opt.worker_threads) + "}\n";
@@ -1025,15 +883,17 @@ struct Server::Impl {
     }
     RemoteWorker& worker = worker_it->second;
     worker.last_seen = Clock::now();
-    CellJob* job = running_job(
-        [&](const CellJob& j) { return j.lease == lease_value->string; });
-    if (job == nullptr || job->lease_worker != worker.id) {
+    const std::string& token = lease_value->string;
+    const supervise::Dispatcher::Lease* lease = dispatcher->leased(token, worker.id);
+    if (lease == nullptr) {
       // Duplicate delivery, or a lease the sweep already expired: the
       // result is no longer wanted.  410 keeps the settle at-most-once.
       reply_json(conn.id, 410, error_body("lease expired or already settled"));
       return;
     }
+    CellJob& job = jobs.at(lease->unit.key);
     obs::count(obs::Counter::ServeWorkerResult);
+    supervise::WorkerOutcome outcome;
     if (ok_value->boolean) {
       const JsonValue* shard_value = root.find("shard");
       if (shard_value == nullptr ||
@@ -1045,7 +905,7 @@ struct Server::Impl {
       supervise::ShardError shard_error = supervise::ShardError::None;
       const auto shard =
           supervise::parse_shard_result(shard_value->string, &shard_error);
-      if (!shard.has_value() || shard->cell_index != job->cell_index) {
+      if (!shard.has_value() || shard->cell_index != lease->unit.cell) {
         // A frame torn or corrupted in flight is a network-domain failure,
         // charged like any other failed attempt — the next lease retries.
         const std::string why =
@@ -1054,34 +914,32 @@ struct Server::Impl {
                        ? "truncated shard frame"
                        : "corrupt shard frame")
                 : "shard for the wrong cell";
-        release_lease(*job);
         ++worker.errors[static_cast<std::size_t>(supervise::ErrorKind::Net)];
-        fail_or_retry(*job, supervise::ErrorKind::Net,
-                      why + " over the wire from worker '" + worker.name + "'");
+        outcome.kind = supervise::ErrorKind::Net;
+        outcome.error = why + " over the wire from worker '" + worker.name + "'";
+        on_event(*dispatcher->settle(token, std::move(outcome)));
         reply_json(conn.id, 400, error_body(why, "net"));
         return;
       }
-      release_lease(*job);
-      job->state = CellJob::State::Done;
-      job->shard = *shard;
-      completed.fetch_add(1, std::memory_order_relaxed);
       ++worker.cells_ok;
       // Remote results feed the same persistent cache as local harvests.
-      if (cache.has_value() && !job->canonical.empty() && job->inject.empty()) {
-        cache->store(job->canonical, job->shard.stats);
+      if (cache.has_value() && !job.canonical.empty() && job.inject.empty()) {
+        cache->store(job.canonical, shard->stats);
       }
-      settle_job(*job);
+      outcome.shard = *shard;
+      on_event(*dispatcher->settle(token, std::move(outcome)));
       reply_json(conn.id, 200, "{\"accepted\": true}\n");
       return;
     }
     // Worker-observed failure (timeout/crash/signal/oom/io on its side):
     // charged against the cell's retry budget exactly as a local harvest.
-    const supervise::ErrorKind kind =
-        supervise::error_kind_from_string(root.string_or("kind"));
-    const std::string error = root.string_or("error", "worker-reported failure");
-    release_lease(*job);
-    ++worker.errors[static_cast<std::size_t>(kind)];
-    fail_or_retry(*job, kind, "worker '" + worker.name + "': " + error);
+    outcome.kind = supervise::error_kind_from_string(root.string_or("kind"));
+    // A failure report without a kind is still a failure: charge it as `io`.
+    if (outcome.ok()) outcome.kind = supervise::ErrorKind::Io;
+    outcome.error = "worker '" + worker.name +
+                    "': " + root.string_or("error", "worker-reported failure");
+    ++worker.errors[static_cast<std::size_t>(outcome.kind)];
+    on_event(*dispatcher->settle(token, std::move(outcome)));
     reply_json(conn.id, 200, "{\"accepted\": true}\n");
   }
 
@@ -1099,24 +957,22 @@ struct Server::Impl {
     out += ", \"failed\": " + std::to_string(snapshot.failed);
     out += ", \"replies\": " + std::to_string(snapshot.replies);
     out += ", \"disconnects\": " + std::to_string(snapshot.disconnects);
-    out += ", \"queue_depth\": " + std::to_string(queue_depth());
-    out += ", \"clients\": " + std::to_string(queues.size());
-    out += ", \"running\": " + std::to_string(pool ? pool->running() : 0);
+    out += ", \"queue_depth\": " + std::to_string(dispatcher->queued());
+    out += ", \"clients\": " + std::to_string(dispatcher->clients());
+    out += ", \"running\": " + std::to_string(dispatcher->running());
     out += ", \"connections\": " + std::to_string(conns.size());
     out += ", \"draining\": ";
     out += draining ? "true" : "false";
     out += ", \"workers_lost\": " + std::to_string(snapshot.workers_lost);
     out += ", \"requeued\": " + std::to_string(snapshot.requeued);
     out += ", \"remote_workers\": " + std::to_string(workers.size());
-    std::size_t remote_leases = 0;
-    for (const auto& [id, worker] : workers) remote_leases += worker.leases;
-    out += ", \"remote_leases\": " + std::to_string(remote_leases);
+    out += ", \"remote_leases\": " + std::to_string(dispatcher->leases());
     out += "},\n  \"workers\": [\n";
     bool first_worker = true;
-    if (pool) {
+    if (opt.workers > 0) {
       out += "    {\"name\": \"local\", \"kind\": \"local\", \"slots\": " +
              std::to_string(opt.workers) + ", \"leases\": " +
-             std::to_string(pool->running()) + "}";
+             std::to_string(dispatcher->running()) + "}";
       first_worker = false;
     }
     for (const auto& [id, worker] : workers) {
@@ -1125,7 +981,7 @@ struct Server::Impl {
       out += "    {\"name\": \"" + json_escape(worker.name) + "\", \"id\": \"" +
              worker.id + "\", \"kind\": \"remote\", \"slots\": " +
              std::to_string(worker.slots) + ", \"leases\": " +
-             std::to_string(worker.leases) + ", \"heartbeat_age_s\": " +
+             std::to_string(dispatcher->leases(id)) + ", \"heartbeat_age_s\": " +
              json_number(seconds_since(worker.last_seen)) +
              ", \"completed\": " + std::to_string(worker.cells_ok) +
              ", \"errors\": {";
@@ -1399,23 +1255,6 @@ struct Server::Impl {
     }
   }
 
-  /// Evicts clients whose fair queues have drained, so queue_depth() scans
-  /// and the round-robin stay proportional to *active* clients rather than
-  /// every x-feast-client value the daemon has ever seen.
-  void prune_clients() {
-    for (std::size_t i = 0; i < rr_clients.size();) {
-      const auto it = queues.find(rr_clients[i]);
-      if (it != queues.end() && !it->second.empty()) {
-        ++i;
-        continue;
-      }
-      if (it != queues.end()) queues.erase(it);
-      rr_clients.erase(rr_clients.begin() + i);
-      if (rr_cursor > i) --rr_cursor;
-      if (rr_cursor >= rr_clients.size()) rr_cursor = 0;
-    }
-  }
-
   /// Erases connections doomed mid-callback, once no caller can still hold
   /// a reference into them (end of tick).
   void reap_doomed() {
@@ -1425,13 +1264,11 @@ struct Server::Impl {
   }
 
   void update_gauges() {
-    gauge_queue.store(queue_depth(), std::memory_order_relaxed);
-    gauge_running.store(pool ? pool->running() : 0, std::memory_order_relaxed);
+    gauge_queue.store(dispatcher->queued(), std::memory_order_relaxed);
+    gauge_running.store(dispatcher->running(), std::memory_order_relaxed);
     gauge_conns.store(conns.size(), std::memory_order_relaxed);
     gauge_workers.store(workers.size(), std::memory_order_relaxed);
-    std::size_t leases = 0;
-    for (const auto& [id, worker] : workers) leases += worker.leases;
-    gauge_leases.store(leases, std::memory_order_relaxed);
+    gauge_leases.store(dispatcher->leases(), std::memory_order_relaxed);
   }
 
   ServeStatsSnapshot snapshot_stats() const {
@@ -1461,26 +1298,12 @@ struct Server::Impl {
 
   void begin_drain() {
     draining = true;
-    drain_deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                        std::chrono::duration<double>(
-                                            opt.drain_grace_s));
     listener.close();
-    // Queued (never dispatched) work is abandoned: its waiters get 503 now,
-    // its campaign cells stay Pending in the checkpoint so a resubmission
-    // after restart picks them up — the supervisor's drain contract.
-    queues.clear();
-    rr_clients.clear();
-    // Remote leases are cut loose uncharged: any result that still arrives
-    // is refused (410), and the cells revert to Queued so the checkpoint
-    // records them Pending — identical to never-dispatched work.
-    for (auto& [key, job] : jobs) {
-      if (job.state == CellJob::State::Running && !job.lease.empty()) {
-        release_lease(job);
-        job.ledger.release();
-        job.state = CellJob::State::Queued;
-      }
-      if (job.state == CellJob::State::Queued) turn_away(job);
-    }
+    // Queued work and remote leases (cut loose uncharged) are abandoned:
+    // their waiters get 503 now, their campaign cells stay Pending in the
+    // checkpoint so a resubmission after restart picks them up — the
+    // supervisor's drain contract.  Local workers get the grace window.
+    on_events(dispatcher->drain(opt.drain_grace_s));
     workers.clear();
     worker_ids.clear();
     for (auto& [id, campaign] : campaigns) {
@@ -1489,13 +1312,13 @@ struct Server::Impl {
     }
     log_line("drain: stopped accepting; waiting up to " +
              std::to_string(opt.drain_grace_s) + " s for " +
-             std::to_string(pool ? pool->running() : 0) + " worker(s)");
+             std::to_string(dispatcher->running()) + " worker(s)");
   }
 
   /// Kills running workers (a drain's stragglers stay Pending, uncharged),
   /// checkpoints every campaign and flushes and closes every connection.
   void shut_down(const std::string& why) {
-    if (pool) pool->kill_all(1.0);
+    dispatcher->kill_all(1.0);
     for (auto& [id, campaign] : campaigns) checkpoint(campaign);
     for (auto& [id, conn] : conns) flush_conn(conn);
     conns.clear();
@@ -1525,25 +1348,23 @@ void Server::start() {
   }
   if (opt.retry_after_s < 0) throw std::runtime_error("serve: retry-after < 0");
   fs::create_directories(opt.work_dir);
-  if (!opt.no_cache) {
-    impl_->cache.emplace(opt.cache_dir.empty() ? ".feast-cache" : opt.cache_dir);
-  }
-  if (opt.workers > 0) {
-    supervise::WorkerPoolOptions pool_options;
-    pool_options.slots = opt.workers;
-    pool_options.cell_timeout_s = opt.cell_timeout_s;
-    pool_options.term_grace_s = opt.term_grace_s;
-    pool_options.memory_limit_mb = opt.memory_limit_mb;
-    pool_options.worker_threads = opt.worker_threads;
-    pool_options.feastc_path = opt.feastc_path;
-    pool_options.cache_dir = opt.no_cache
-                                 ? ""
-                                 : (opt.cache_dir.empty() ? ".feast-cache"
-                                                          : opt.cache_dir);
-    pool_options.no_cache = opt.no_cache;
-    pool_options.work_dir = (fs::path(opt.work_dir) / "shards").string();
-    impl_->pool = std::make_unique<supervise::WorkerPool>(pool_options);
-  }
+  // One cache directory for the daemon's own lookups and its workers.
+  const std::string cache_dir =
+      opt.no_cache ? "" : opt.cache_dir.empty() ? ".feast-cache" : opt.cache_dir;
+  if (!cache_dir.empty()) impl_->cache.emplace(cache_dir);
+  supervise::DispatcherOptions dispatch;
+  dispatch.policy = {opt.max_attempts, kNoBackoff, opt.poison_worker_deaths};
+  dispatch.pool.slots = opt.workers;
+  dispatch.pool.cell_timeout_s = opt.cell_timeout_s;
+  dispatch.pool.term_grace_s = opt.term_grace_s;
+  dispatch.pool.memory_limit_mb = opt.memory_limit_mb;
+  dispatch.pool.worker_threads = opt.worker_threads;
+  dispatch.pool.feastc_path = opt.feastc_path;
+  dispatch.pool.cache_dir = cache_dir;
+  dispatch.pool.no_cache = opt.no_cache;
+  dispatch.pool.work_dir = (fs::path(opt.work_dir) / "shards").string();
+  dispatch.lease_timeout_s = opt.lease_timeout_s;
+  impl_->dispatcher.emplace(std::move(dispatch));
   impl_->listener = net::TcpListener::bind_and_listen(opt.host, opt.port);
 }
 
@@ -1596,13 +1417,9 @@ int Server::run() {
       if (it != impl.conns.end()) impl.close_conn(it);
     }
 
-    impl.harvest();
+    impl.step();
     impl.pump();
-    if (!impl.draining) {
-      impl.dispatch();
-      impl.sweep_workers();
-    }
-    impl.prune_clients();
+    impl.sweep_heartbeats();
     impl.sweep_timeouts();
     impl.reap_doomed();
     impl.update_gauges();
@@ -1614,11 +1431,8 @@ int Server::run() {
       impl.begin_drain();
       drained = true;
     }
-    if (impl.draining &&
-        ((impl.pool ? impl.pool->running() : 0) == 0 ||
-         Clock::now() >= impl.drain_deadline)) {
-      // Give late harvests one last pass, then cut the stragglers loose.
-      impl.harvest();
+    if (impl.draining && impl.dispatcher->running() == 0) {
+      // Every local worker was harvested, or killed past the grace window.
       impl.shut_down("drain: checkpointed, exiting 130");
       return drained ? 130 : 0;
     }

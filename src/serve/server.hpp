@@ -5,10 +5,11 @@
 /// The daemon accepts cell and campaign requests on a TCP socket, folds
 /// them onto the existing content-addressed cell cache, and dispatches
 /// misses to supervised `feastc campaign exec-cell` worker subprocesses
-/// (leased from supervise::WorkerPool; shard-result files are the wire
-/// format between daemon and worker).  The core loop is a single-threaded
-/// poll() reactor — accept → parse → dedup → dispatch → harvest → reply —
-/// shaped like a request→batch→worker translation loop:
+/// through supervise::Dispatcher (local pool slots and remote leases;
+/// shard-result files are the wire format between daemon and worker).  The
+/// core loop is a single-threaded poll() reactor — accept → parse → dedup →
+/// dispatch → harvest → reply — shaped like a request→batch→worker
+/// translation loop:
 ///
 ///   * **Dedup/batching** — every request resolves to cell jobs keyed by
 ///     the cell's canonical cache identity; concurrent requests for the

@@ -1,9 +1,8 @@
 /// \file attempts.hpp
 /// \brief The attempt ledger: the one policy deciding what a cell's attempt
-///        outcome means.  The supervisor and serve (local pool and remote
-///        leases) keep one AttemptLedger per cell and act on its verdicts,
-///        keeping only their own dispatch order and log lines.  Rules:
-///        docs/ROBUSTNESS.md, "Attempt ledger".
+///        outcome means.  The dispatcher (dispatcher.hpp) keeps one
+///        AttemptLedger per unit for every executor and acts on its
+///        verdicts.  Rules: docs/ROBUSTNESS.md, "Attempt ledger".
 #pragma once
 
 #include <chrono>

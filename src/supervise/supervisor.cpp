@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <filesystem>
 #include <iterator>
 #include <ostream>
@@ -18,8 +17,7 @@
 #include "campaign/cache.hpp"
 #include "check/fault.hpp"
 #include "obs/obs.hpp"
-#include "supervise/attempts.hpp"
-#include "supervise/worker_pool.hpp"
+#include "supervise/dispatcher.hpp"
 #include "util/fsio.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -299,17 +297,6 @@ int run_worker_cell(const CampaignSpec& spec, std::size_t cell_index,
 
 // -------------------------------------------------------- supervisor side
 
-namespace {
-
-/// A cell waiting to run, runnable once `due` passes (backoff delays land
-/// here).
-struct ReadyEntry {
-  std::size_t cell = 0;
-  Clock::time_point due;
-};
-
-}  // namespace
-
 CampaignResult run_supervised_campaign(const CampaignSpec& spec,
                                        const CampaignOptions& options,
                                        const SupervisorOptions& sup) {
@@ -328,11 +315,6 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
   // processes and see no plan.
   check::ScopedFaultPlan scoped_faults(spec.context.faults);
 
-  AttemptPolicy policy;
-  policy.max_attempts = sup.max_attempts;
-  policy.backoff = sup.backoff;
-  if (policy.backoff.seed == 0) policy.backoff.seed = spec.batch.seed;
-
   // Scratch directory for shard results, worker logs and (when the caller
   // did not hand us a spec file) the canonical spec workers re-parse.
   const fs::path work_dir =
@@ -350,95 +332,55 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
     }
   }
 
-  WorkerPoolOptions pool_options;
-  pool_options.slots = sup.workers;
-  pool_options.cell_timeout_s = sup.cell_timeout_s;
-  pool_options.term_grace_s = sup.term_grace_s;
-  pool_options.memory_limit_mb = sup.memory_limit_mb;
-  pool_options.worker_threads = sup.worker_threads;
-  pool_options.feastc_path = sup.feastc_path;
-  pool_options.cache_dir = sup.cache_dir;
-  pool_options.no_cache = sup.no_cache;
-  pool_options.work_dir = work_dir.string();
-  pool_options.keep_files = sup.keep_work_dir;
-  WorkerPool pool(pool_options);
+  // One client with the seeded backoff: the fair queue is then FIFO with
+  // due times.
+  DispatcherOptions dispatch;
+  dispatch.policy.max_attempts = sup.max_attempts;
+  dispatch.policy.backoff = sup.backoff;
+  if (dispatch.policy.backoff.seed == 0) dispatch.policy.backoff.seed = spec.batch.seed;
+  dispatch.pool.slots = sup.workers;
+  dispatch.pool.cell_timeout_s = sup.cell_timeout_s;
+  dispatch.pool.term_grace_s = sup.term_grace_s;
+  dispatch.pool.memory_limit_mb = sup.memory_limit_mb;
+  dispatch.pool.worker_threads = sup.worker_threads;
+  dispatch.pool.feastc_path = sup.feastc_path;
+  dispatch.pool.cache_dir = sup.cache_dir;
+  dispatch.pool.no_cache = sup.no_cache;
+  dispatch.pool.work_dir = work_dir.string();
+  dispatch.pool.keep_files = sup.keep_work_dir;
+  Dispatcher dispatcher(dispatch);
 
   const auto start = Clock::now();
   refresh_campaign_totals(result, 0.0);
   checkpoint_manifest_file(options.manifest_path, spec, result);
 
   const std::size_t total = result.cells.size();
-  std::vector<AttemptLedger> ledgers;
-  ledgers.reserve(total);
-  std::deque<ReadyEntry> ready;
+  std::size_t finished = total;  // Restored cells count as done.
+  const auto per_cell = [](const std::map<std::size_t, std::string>& values,
+                           std::size_t cell) {
+    const auto it = values.find(cell);
+    return it == values.end() ? std::string() : it->second;
+  };
   for (std::size_t i = 0; i < total; ++i) {
-    ledgers.emplace_back(policy, i);
-    if (result.cells[i].state == CellState::Pending) ready.push_back({i, start});
+    if (result.cells[i].state != CellState::Pending) continue;
+    // One client, no key: events name the cell by index.
+    dispatcher.add({"", "", spec_path, i, per_cell(sup.inject, i),
+                    per_cell(sup.fault_cells, i)});
+    --finished;
   }
-  std::size_t finished = total - ready.size();  // Restored cells count as done.
 
   DrainSignalGuard drain_guard;
   bool draining = false;
-  Clock::time_point drain_deadline{};
 
   const auto progress_prefix = [&](std::ostream& out) -> std::ostream& {
     return out << "[" << finished << "/" << total << "] ";
   };
 
-  const auto checkpoint = [&] {
+  // Counts a cell's terminal row and checkpoints it.
+  const auto finish_cell = [&] {
+    ++finished;
     refresh_campaign_totals(result, ms_since(start));
     checkpoint_manifest_file(options.manifest_path, spec, result);
-  };
-
-  // Records a cell's terminal success from a parsed shard result.
-  const auto complete_cell = [&](const ShardResult& shard) {
-    CellOutcome& cell = result.cells[shard.cell_index];
-    record_success(cell, shard, ledgers[shard.cell_index].attempts());
-    ++finished;
-    checkpoint();
-    if (options.progress != nullptr) {
-      progress_prefix(*options.progress)
-          << cell.strategy_label << " procs=" << cell.n_procs << " "
-          << to_string(cell.state) << " (" << format_compact(cell.wall_ms, 1)
-          << " ms, attempt " << cell.attempts << ")" << std::endl;
-    }
-  };
-
-  // Hands a failed attempt to the cell's ledger: requeue under backoff, or
-  // quarantine once the budget is spent.  Inside the drain window the
-  // attempt is released instead, leaving the cell Pending exactly like
-  // never-dispatched work.
-  const auto fail_attempt = [&](std::size_t cell_index, ErrorKind kind,
-                                std::string message) {
-    AttemptLedger& ledger = ledgers[cell_index];
-    if (draining) {
-      ledger.release();
-      return;
-    }
-    CellOutcome& cell = result.cells[cell_index];
-    AttemptVerdict verdict = ledger.fail(kind, std::move(message));
-    if (verdict.quarantined()) {
-      record_quarantine(cell, verdict.attempts, verdict.kind,
-                        std::move(verdict.error));
-      ++finished;
-      checkpoint();
-      if (options.progress != nullptr) {
-        progress_prefix(*options.progress)
-            << cell.strategy_label << " procs=" << cell.n_procs
-            << " quarantined after " << verdict.attempts << " attempts ["
-            << cell.error_kind << "] — " << cell.error << std::endl;
-      }
-      return;
-    }
-    ready.push_back({cell_index, verdict.due});
-    if (options.progress != nullptr) {
-      progress_prefix(*options.progress)
-          << cell.strategy_label << " procs=" << cell.n_procs << " attempt "
-          << verdict.attempts << "/" << sup.max_attempts << " failed ["
-          << to_string(kind) << "], retry in "
-          << format_compact(verdict.delay_ms, 0) << " ms — " << verdict.error
-          << std::endl;
-    }
   };
 
   // ------------------------------------------------------- the event loop
@@ -447,58 +389,62 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
 
     if (!draining && drain_guard.signal() != 0) {
       draining = true;
-      drain_deadline = now + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(sup.drain_grace_s));
       // Undispatched cells stay Pending in the checkpoint; in-flight
-      // workers get the grace window to finish and be harvested.
-      ready.clear();
+      // workers get the grace window to finish and be harvested, and are
+      // killed past it, their cells left Pending and uncharged.
+      dispatcher.drain(sup.drain_grace_s);
       if (options.progress != nullptr) {
         *options.progress << "drain: signal " << drain_guard.signal()
                           << " received; waiting up to "
                           << format_compact(sup.drain_grace_s, 1) << " s for "
-                          << pool.running() << " running worker(s)" << std::endl;
+                          << dispatcher.running() << " running worker(s)" << std::endl;
       }
     }
 
-    if (!draining) {
-      // One pass over the entries queued now: a failed spawn re-queues
-      // onto `ready` via fail_attempt, and entries not yet due rotate to
-      // the back.
-      for (std::size_t n = ready.size(); n > 0 && pool.free_slots() > 0; --n) {
-        const ReadyEntry entry = ready.front();
-        ready.pop_front();
-        if (entry.due > now) {
-          ready.push_back(entry);
-          continue;
-        }
-        const auto inject = sup.inject.find(entry.cell);
-        const auto faults = sup.fault_cells.find(entry.cell);
-        const std::string action = ledgers[entry.cell].start(
-            inject == sup.inject.end() ? "" : inject->second);
-        try {
-          pool.submit(spec_path, entry.cell, action,
-                      faults == sup.fault_cells.end() ? "" : faults->second);
-        } catch (const std::exception& e) {
-          fail_attempt(entry.cell, ErrorKind::Io, e.what());
-        }
+    for (Dispatcher::Event& event : dispatcher.step(now)) {
+      using Kind = Dispatcher::Event::Kind;
+      CellOutcome& cell = result.cells[event.cell];
+      switch (event.kind) {
+        case Kind::Done:
+          record_success(cell, event.shard, event.attempts);
+          finish_cell();
+          if (options.progress != nullptr) {
+            progress_prefix(*options.progress)
+                << cell.strategy_label << " procs=" << cell.n_procs << " "
+                << to_string(cell.state) << " (" << format_compact(cell.wall_ms, 1)
+                << " ms, attempt " << cell.attempts << ")" << std::endl;
+          }
+          break;
+        case Kind::Quarantined:
+          record_quarantine(cell, event.attempts, event.error_kind,
+                            std::move(event.error));
+          finish_cell();
+          if (options.progress != nullptr) {
+            progress_prefix(*options.progress)
+                << cell.strategy_label << " procs=" << cell.n_procs
+                << " quarantined after " << event.attempts << " attempts ["
+                << cell.error_kind << "] — " << cell.error << std::endl;
+          }
+          break;
+        case Kind::Retry:
+          if (options.progress != nullptr) {
+            progress_prefix(*options.progress)
+                << cell.strategy_label << " procs=" << cell.n_procs << " attempt "
+                << event.attempts << "/" << sup.max_attempts << " failed ["
+                << to_string(event.error_kind) << "], retry in "
+                << format_compact(event.delay_ms, 0) << " ms — " << event.error
+                << std::endl;
+          }
+          break;
+        case Kind::Requeued:  // Remote leases only.
+        case Kind::Released:
+          // Released inside the drain window: the cell stays Pending
+          // exactly like never-dispatched work.
+          break;
       }
     }
 
-    for (const WorkerOutcome& outcome : pool.poll()) {
-      if (outcome.ok()) {
-        complete_cell(outcome.shard);
-      } else {
-        fail_attempt(outcome.cell_index, outcome.kind, outcome.error);
-      }
-    }
-
-    if (draining && Clock::now() >= drain_deadline && pool.running() > 0) {
-      // Past the drain grace: kill the stragglers and leave their cells
-      // Pending — resume retries them, the attempts are not charged.
-      pool.kill_all(/*grace_s=*/1.0);
-    }
-
-    if (pool.running() == 0 && (draining || ready.empty())) break;
+    if (dispatcher.idle()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 

@@ -188,7 +188,6 @@ WorkerOutcome WorkerPool::harvest(Lease& lease) {
   }
   WorkerOutcome outcome;
   outcome.ticket = lease.ticket;
-  outcome.cell_index = lease.cell;
 
   if (const auto fault = check::fire(check::FaultSite::SuperviseHeartbeat)) {
     if (*fault == check::FaultAction::Die) std::_Exit(check::kFaultExitCode);

@@ -89,7 +89,6 @@ struct WorkerPoolOptions {
 /// shard.
 struct WorkerOutcome : AttemptResult {
   std::uint64_t ticket = 0;
-  std::size_t cell_index = 0;
   ShardResult shard;
 };
 

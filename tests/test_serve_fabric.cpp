@@ -341,6 +341,54 @@ TEST(ServeFabric, CrossWorkerPoisonQuarantinesUnderTheNetTaxonomy) {
   EXPECT_EQ(server.stop(), 0);
 }
 
+TEST(ServeFabric, ReRegistrationRequeuesTheOldIncarnationsLeaseUncharged) {
+  ScratchDir dir("feast-fabric-reregister");
+  TestServer server(fabric_options(dir));
+
+  const std::string first = register_fake(server.port(), "phoenix");
+  serve::HttpReply cell_reply;
+  std::thread submitter([&] {
+    cell_reply = post(server.port(), "/v1/cell",
+                      "{\"spec\": \"" + json_escape(test_spec_text()) +
+                          "\", \"cell\": 0}");
+  });
+  std::string stale;
+  ASSERT_TRUE(wait_until([&] {
+    stale = lease_cell(server.port(), first);
+    return !stale.empty();
+  }, 10.0));
+
+  // The same name registering again is a new incarnation: the old one is
+  // lost and the cell it held goes back on the queue, uncharged.
+  const std::string second = register_fake(server.port(), "phoenix");
+  ASSERT_NE(second, first);
+  const serve::ServeStatsSnapshot stats = server.server().stats();
+  EXPECT_EQ(stats.workers_lost, 1u);
+  EXPECT_EQ(stats.requeued, 1u);
+  EXPECT_EQ(post(server.port(), "/v1/worker/result",
+                 result_body(first, stale, "late"))
+                .status,
+            404);  // The old incarnation is gone.
+
+  long long cell = -1;
+  std::string lease;
+  ASSERT_TRUE(wait_until([&] {
+    lease = lease_cell(server.port(), second, &cell);
+    return !lease.empty();
+  }, 10.0));
+  ASSERT_EQ(cell, 0);
+  EXPECT_EQ(post(server.port(), "/v1/worker/result",
+                 result_body(second, lease,
+                             supervise::render_shard_result(sample_shard(0),
+                                                            "fabric-phoenix")))
+                .status,
+            200);
+  submitter.join();
+  ASSERT_EQ(cell_reply.status, 200) << cell_reply.body;
+  EXPECT_DOUBLE_EQ(parse_json(cell_reply.body).find("attempts")->number, 1.0);
+  EXPECT_EQ(server.stop(), 0);
+}
+
 // ----------------------------------------------------- delivery idempotence
 
 TEST(ServeFabric, DuplicateResultDeliveryIsSettledExactlyOnce) {
