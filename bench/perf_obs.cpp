@@ -2,29 +2,20 @@
 /// \brief Overhead gate for the observability subsystem.
 ///
 /// The list scheduler is permanently instrumented (spans + counters in
-/// sched/list_scheduler.cpp), so the cost of that instrumentation with
-/// *no sink installed* must stay in the noise.  This bench times the same
-/// fig2-sized batch as perf_scheduler on both cores and can compare the
-/// fast/reference speedup against the same optional absolute floors as
-/// perf_scheduler (--require / --require-cf).  The reference core is
-/// uninstrumented, so the speedup is a machine-normalized measure of the
-/// instrumented fast core.  The floors are machine-dependent, so CI
-/// leaves them off and records the speedups as advisory output.
-///
-/// The enabled-sink costs (aggregating sink, and capture_events for
-/// Chrome traces) are measured in-binary — same machine, same run — and
-/// optionally gated with --max-enabled-overhead-pct.  The committed
-/// BENCH_scheduler.json baseline is read for the speedup-ratio report in
-/// BENCH_obs.json; gating on it (--gate-baseline, margin
-/// --max-overhead-pct) is only meaningful when the baseline was recorded
-/// on the same machine — cross-machine speedups differ far more than any
-/// instrumentation overhead (docs/OBSERVABILITY.md shows the measured
-/// same-machine comparison).
+/// sched/list_scheduler.cpp).  This bench times a fig2-sized batch (PURE/CCNE
+/// windows) through BatchScheduler three times, with no sink, with an
+/// aggregating sink and with an event-capturing sink (Chrome traces), all in
+/// one binary and one run, so the overheads compare like with like.
+/// --max-enabled-overhead-pct gates the enabled-sink cost against the
+/// disabled run.  The disabled-sink cost has no same-run baseline, so it is
+/// not gated: the fast/reference speedup (the reference core is
+/// uninstrumented) is printed as advisory output, since it varies across
+/// machines and runs.  Emits BENCH_obs.json.
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +26,6 @@
 #include "sched/batch.hpp"
 #include "sched/list_scheduler.hpp"
 #include "taskgraph/generator.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -120,9 +110,7 @@ CoreTimes time_batch(const std::vector<Sample>& batch, const Machine& machine,
     return checksum;
   });
 
-  // Same entry point perf_scheduler times: the batch scheduler in its
-  // steady state (topologies built and selection caches filled on the
-  // first rep; best-of-reps takes the warm passes).
+  // The fast core runs through the batch scheduler in its steady state.
   std::vector<const TaskGraph*> graphs;
   std::vector<const DeadlineAssignment*> assignments;
   for (const Sample& sample : batch) {
@@ -143,43 +131,25 @@ CoreTimes time_batch(const std::vector<Sample>& batch, const Machine& machine,
     std::cerr << "perf_obs: a sink is already installed; timings would lie\n";
     std::exit(1);
   }
-  times.fast_disabled_ms = time_core(reps, run_fast);
-
-  {
-    obs::Sink sink;
-    obs::ScopedSink scoped(sink);
-    times.fast_enabled_ms = time_core(reps, run_fast);
-  }
-  {
-    obs::Sink sink(/*capture_events=*/true);
-    obs::ScopedSink scoped(sink);
-    times.fast_capture_ms = time_core(reps, run_fast);
+  // An untimed pass builds the topologies and fills the selection caches,
+  // so every timed pass below is a warm one.  The three sink modes then
+  // take turns within each rep, so drift in the machine's speed over the
+  // run hits them alike; each keeps its best rep.
+  g_checksum_sink = run_fast();
+  obs::Sink enabled;
+  obs::Sink capturing(/*capture_events=*/true);
+  const auto time_with = [&](obs::Sink* sink) {
+    std::optional<obs::ScopedSink> scoped;
+    if (sink != nullptr) scoped.emplace(*sink);
+    return time_core(1, run_fast);
+  };
+  times.fast_disabled_ms = times.fast_enabled_ms = times.fast_capture_ms = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    times.fast_disabled_ms = std::min(times.fast_disabled_ms, time_with(nullptr));
+    times.fast_enabled_ms = std::min(times.fast_enabled_ms, time_with(&enabled));
+    times.fast_capture_ms = std::min(times.fast_capture_ms, time_with(&capturing));
   }
   return times;
-}
-
-/// Reads shared_bus/contention_free speedups from a BENCH_scheduler.json.
-bool read_baseline(const std::string& path, double& cf_speedup,
-                   double& bus_speedup) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    const JsonValue root = parse_json(text.str());
-    const JsonValue* cf = root.find("contention_free");
-    const JsonValue* bus = root.find("shared_bus");
-    if (cf == nullptr || bus == nullptr) return false;
-    const JsonValue* cf_s = cf->find("speedup");
-    const JsonValue* bus_s = bus->find("speedup");
-    if (cf_s == nullptr || bus_s == nullptr) return false;
-    cf_speedup = cf_s->number;
-    bus_speedup = bus_s->number;
-    return true;
-  } catch (const std::exception& e) {
-    std::cerr << "perf_obs: cannot parse " << path << ": " << e.what() << "\n";
-    return false;
-  }
 }
 
 }  // namespace
@@ -188,12 +158,7 @@ int main(int argc, char** argv) {
   int samples = 128;
   int reps = 5;
   int procs = 8;
-  double require = 0.0;     ///< Shared-bus speedup floor (0 = off).
-  double require_cf = 0.0;  ///< Contention-free speedup floor (0 = off).
   double max_enabled_overhead_pct = 0.0;  ///< Enabled-sink ceiling (0 = off).
-  double max_overhead_pct = 3.0;          ///< Baseline-ratio margin.
-  bool gate_baseline = false;
-  std::string baseline_path = "BENCH_scheduler.json";
   std::string out_path = "BENCH_obs.json";
 
   for (int i = 1; i < argc; ++i) {
@@ -208,21 +173,13 @@ int main(int argc, char** argv) {
     if (arg == "--samples") samples = std::stoi(next());
     else if (arg == "--reps") reps = std::stoi(next());
     else if (arg == "--procs") procs = std::stoi(next());
-    else if (arg == "--require") require = std::stod(next());
-    else if (arg == "--require-cf") require_cf = std::stod(next());
     else if (arg == "--max-enabled-overhead-pct")
       max_enabled_overhead_pct = std::stod(next());
-    else if (arg == "--max-overhead-pct") max_overhead_pct = std::stod(next());
-    else if (arg == "--gate-baseline") gate_baseline = true;
-    else if (arg == "--baseline") baseline_path = next();
     else if (arg == "--out") out_path = next();
     else if (arg == "--quick") { samples = 32; reps = 3; }
     else {
       std::cerr << "usage: perf_obs [--samples N] [--reps N] [--procs N]"
-                   " [--require X] [--require-cf Y]"
-                   " [--max-enabled-overhead-pct X]"
-                   " [--gate-baseline] [--max-overhead-pct X]"
-                   " [--baseline FILE] [--out FILE] [--quick]\n";
+                   " [--max-enabled-overhead-pct X] [--out FILE] [--quick]\n";
       return 2;
     }
   }
@@ -250,21 +207,12 @@ int main(int argc, char** argv) {
   show("contention-free", free_t);
   show("shared-bus     ", bus_t);
 
-  double baseline_cf = 0.0;
-  double baseline_bus = 0.0;
-  const bool have_baseline = read_baseline(baseline_path, baseline_cf, baseline_bus);
-
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"obs\",\n"
       << "  \"samples\": " << samples << ",\n"
       << "  \"procs\": " << procs << ",\n"
       << "  \"reps\": " << reps << ",\n"
-      << "  \"max_overhead_pct\": " << max_overhead_pct << ",\n"
-      << "  \"baseline\": {\"path\": \"" << baseline_path
-      << "\", \"found\": " << (have_baseline ? "true" : "false")
-      << ", \"contention_free_speedup\": " << baseline_cf
-      << ", \"shared_bus_speedup\": " << baseline_bus << "},\n"
       << "  \"contention_free\": {\"ref_ms\": " << free_t.ref_ms
       << ", \"fast_disabled_ms\": " << free_t.fast_disabled_ms
       << ", \"fast_enabled_ms\": " << free_t.fast_enabled_ms
@@ -280,23 +228,9 @@ int main(int argc, char** argv) {
       << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
+  // The gate: the enabled-sink cost, measured in this binary (same machine,
+  // same run) against the disabled-sink timing.
   bool ok = true;
-
-  // Primary gate: the instrumented fast core (sinks disabled) must clear
-  // the same absolute machine-normalized speedup floors CI applies to
-  // perf_scheduler.  Disabled-sink overhead would push it below them.
-  if (require > 0.0 && bus_t.speedup() < require) {
-    std::cerr << "perf_obs: shared-bus speedup " << bus_t.speedup()
-              << "x is below the required " << require << "x\n";
-    ok = false;
-  }
-  if (require_cf > 0.0 && free_t.speedup() < require_cf) {
-    std::cerr << "perf_obs: contention-free speedup " << free_t.speedup()
-              << "x is below the required " << require_cf << "x\n";
-    ok = false;
-  }
-
-  // Enabled-sink gate: measured in this binary, so same machine and run.
   const auto gate_enabled = [&](const char* label, const CoreTimes& t) {
     if (max_enabled_overhead_pct <= 0.0) return;
     if (t.enabled_overhead_pct() > max_enabled_overhead_pct) {
@@ -308,28 +242,5 @@ int main(int argc, char** argv) {
   };
   gate_enabled("contention-free", free_t);
   gate_enabled("shared-bus", bus_t);
-
-  // Baseline ratio: reported always, gated only on request (the baseline
-  // must come from the same machine for the ratio to mean anything).
-  if (have_baseline) {
-    const double floor = 1.0 - max_overhead_pct / 100.0;
-    const auto compare = [&](const char* label, double current, double baseline) {
-      if (baseline <= 0.0) return;
-      const double ratio = current / baseline;
-      std::cout << label << " speedup " << current << "x vs baseline " << baseline
-                << "x (ratio " << ratio << ")\n";
-      if (gate_baseline && ratio < floor) {
-        std::cerr << "perf_obs: " << label
-                  << " speedup regressed beyond the allowed " << max_overhead_pct
-                  << "% of the baseline\n";
-        ok = false;
-      }
-    };
-    compare("contention-free", free_t.speedup(), baseline_cf);
-    compare("shared-bus", bus_t.speedup(), baseline_bus);
-  } else {
-    std::cout << "perf_obs: no baseline at " << baseline_path
-              << "; ratio report skipped\n";
-  }
   return ok ? 0 : 1;
 }

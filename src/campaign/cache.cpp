@@ -11,6 +11,7 @@
 #include "util/contracts.hpp"
 #include "util/fsio.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace feast {
 
@@ -22,15 +23,10 @@ namespace {
 // records are treated as misses rather than risking a stale read.
 constexpr char kRecordMagic[] = "feast-cell v3";
 
-std::string full(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
 void write_summary(std::ostream& out, const char* name, const StatSummary& s) {
-  out << name << ' ' << s.count << ' ' << full(s.mean) << ' ' << full(s.stddev) << ' '
-      << full(s.min) << ' ' << full(s.max) << ' ' << full(s.ci95_half_width) << '\n';
+  out << name << ' ' << s.count << ' ' << format_full(s.mean) << ' '
+      << format_full(s.stddev) << ' ' << format_full(s.min) << ' ' << format_full(s.max)
+      << ' ' << format_full(s.ci95_half_width) << '\n';
 }
 
 /// istream's num_get rejects the `nan`/`inf` tokens %.17g produces, which

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -30,21 +29,6 @@
 namespace feast {
 
 namespace {
-
-std::string full(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-/// JSON has no literal for NaN/Inf (%.17g's bare `nan`/`inf` would be
-/// rejected by any parser, including ours); encode non-finite values as
-/// quoted strings and decode them in json_to_double below.
-std::string json_number(double value) {
-  if (std::isfinite(value)) return full(value);
-  if (std::isnan(value)) return "\"nan\"";
-  return value > 0.0 ? "\"inf\"" : "\"-inf\"";
-}
 
 double parse_double_field(const std::string& what, const std::string& text) {
   try {
@@ -105,18 +89,6 @@ void write_summary_json(std::ostream& out, const char* name, const StatSummary& 
       << json_number(s.max) << ", " << json_number(s.ci95_half_width) << ']';
 }
 
-/// A cell's four summaries and its infeasible-run count, as JSON members.
-void write_stats_json(std::ostream& out, const CellStats& stats) {
-  write_summary_json(out, "max_lateness", stats.max_lateness);
-  out << ", ";
-  write_summary_json(out, "end_to_end", stats.end_to_end);
-  out << ",\n     ";
-  write_summary_json(out, "makespan", stats.makespan);
-  out << ", ";
-  write_summary_json(out, "min_laxity", stats.min_laxity);
-  out << ",\n     \"infeasible_runs\": " << stats.infeasible_runs;
-}
-
 // ------------------------------------------------------------ JSON reading
 //
 // The recursive-descent parser itself lives in util/json.hpp (it started
@@ -167,6 +139,17 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+void write_stats_json(std::ostream& out, const CellStats& stats) {
+  write_summary_json(out, "max_lateness", stats.max_lateness);
+  out << ", ";
+  write_summary_json(out, "end_to_end", stats.end_to_end);
+  out << ",\n     ";
+  write_summary_json(out, "makespan", stats.makespan);
+  out << ", ";
+  write_summary_json(out, "min_laxity", stats.min_laxity);
+  out << ",\n     \"infeasible_runs\": " << stats.infeasible_runs;
+}
 
 // --------------------------------------------------------------- strategies
 
@@ -237,19 +220,19 @@ std::string CampaignSpec::canonical_text() const {
   out << "subtasks = " << workload.min_subtasks << ':' << workload.max_subtasks << '\n';
   out << "depth = " << workload.min_depth << ':' << workload.max_depth << '\n';
   out << "degree = " << workload.min_degree << ':' << workload.max_degree << '\n';
-  out << "alpha = " << full(workload.level_width_alpha) << '\n';
+  out << "alpha = " << format_full(workload.level_width_alpha) << '\n';
   out << "strict_fanin = " << (workload.strict_fanin_cap ? 1 : 0) << '\n';
-  out << "met = " << full(workload.mean_exec_time) << '\n';
-  out << "spread = " << full(workload.exec_spread) << '\n';
-  out << "olr = " << full(workload.olr) << '\n';
+  out << "met = " << format_full(workload.mean_exec_time) << '\n';
+  out << "spread = " << format_full(workload.exec_spread) << '\n';
+  out << "olr = " << format_full(workload.olr) << '\n';
   out << "olr_basis = "
       << (workload.olr_basis == OlrBasis::CriticalPath ? "critical-path"
                                                        : "total-workload")
       << '\n';
-  out << "ccr = " << full(workload.ccr) << '\n';
-  out << "message_spread = " << full(workload.message_spread) << '\n';
-  out << "pinned_fraction = " << full(batch.pinned_fraction) << '\n';
-  out << "time_per_item = " << full(batch.time_per_item) << '\n';
+  out << "ccr = " << format_full(workload.ccr) << '\n';
+  out << "message_spread = " << format_full(workload.message_spread) << '\n';
+  out << "pinned_fraction = " << format_full(batch.pinned_fraction) << '\n';
+  out << "time_per_item = " << format_full(batch.time_per_item) << '\n';
   out << "contention = "
       << (batch.contention == CommContention::SharedBus          ? "bus"
           : batch.contention == CommContention::PointToPointLinks ? "links"
@@ -543,8 +526,9 @@ std::string manifest_fingerprint(const Manifest& manifest) {
   // campaigns of the same spec agree here iff they produced the same
   // numbers, regardless of interruptions, resumes or cache state.
   auto summary = [](std::ostringstream& out, const char* name, const StatSummary& s) {
-    out << ' ' << name << '=' << s.count << ',' << full(s.mean) << ',' << full(s.stddev)
-        << ',' << full(s.min) << ',' << full(s.max) << ',' << full(s.ci95_half_width);
+    out << ' ' << name << '=' << s.count << ',' << format_full(s.mean) << ','
+        << format_full(s.stddev) << ',' << format_full(s.min) << ','
+        << format_full(s.max) << ',' << format_full(s.ci95_half_width);
   };
   std::ostringstream out;
   out << "spec " << manifest.spec_hash_hex << " samples " << manifest.samples << '\n';

@@ -237,6 +237,12 @@ Manifest read_manifest_file(const std::string& path);
 /// byte-identically; `feastc torture` asserts exactly this.
 std::string manifest_fingerprint(const Manifest& manifest);
 
+/// A cell's four stat summaries and its infeasible-run count, as JSON
+/// members (no braces): `"max_lateness": [count, mean, stddev, min, max,
+/// ci95], ...` with json_number values.  The one stats writer behind
+/// manifests, `/v1/status` and serve's `/v1/cell` replies.
+void write_stats_json(std::ostream& out, const CellStats& stats);
+
 /// Human-readable status table of a manifest.
 void print_manifest_status(std::ostream& out, const Manifest& manifest);
 

@@ -1,6 +1,5 @@
 #include "exact/gap.hpp"
 
-#include <cstdio>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -14,6 +13,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace feast::exact {
 namespace {
@@ -28,12 +28,6 @@ struct GapSample {
   std::uint64_t nodes = 0;
   bool proven = false;
 };
-
-std::string full(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -124,8 +118,8 @@ CellStats run_gap_cell(const RandomGraphConfig& workload, const Strategy& strate
           "gap: optimal exceeds heuristic for strategy " + strategy.label +
           " at sample " + std::to_string(i) + " (graph seed " +
           std::to_string(seed_for(batch.seed, {0, i})) + "): optimal=" +
-          full(s.optimal) + " heuristic=" + full(s.heuristic) + " tolerance=" +
-          full(s.tolerance));
+          format_full(s.optimal) + " heuristic=" + format_full(s.heuristic) +
+          " tolerance=" + format_full(s.tolerance));
     }
     heuristic.add(s.heuristic);
     optimal.add(s.optimal);
@@ -147,36 +141,11 @@ ExecutedCell execute_gap_cell(const RandomGraphConfig& workload, const Strategy&
                               int n_procs, const BatchConfig& batch,
                               const RunContext& context, std::uint64_t node_budget,
                               CellCache* cache) {
-  obs::Sink* const sink = context.sink != nullptr ? context.sink : obs::active();
-
-  ExecutedCell result;
-  if (cache != nullptr) {
-    result.canonical_key = describe_cell(workload, gap_cell_label(strategy.label, node_budget),
-                                         n_procs, batch, context);
-    if (!result.canonical_key.empty()) {
-      CellStats cached;
-      const bool hit = [&] {
-        obs::SpanScope span(sink, obs::Span::CacheLookup);
-        return cache->lookup(result.canonical_key, cached);
-      }();
-      if (hit) {
-        obs::count_on(sink, obs::Counter::CacheHit);
-        result.stats = cached;
-        result.from_cache = true;
-        return result;
-      }
-      obs::count_on(sink, obs::Counter::CacheMiss);
-    }
-  }
-
-  result.stats = run_gap_cell(workload, strategy, n_procs, batch, context, node_budget);
-
-  if (cache != nullptr && !result.canonical_key.empty()) {
-    obs::SpanScope span(sink, obs::Span::CacheStore);
-    cache->store(result.canonical_key, result.stats);
-    obs::count_on(sink, obs::Counter::CacheStore);
-  }
-  return result;
+  return execute_cached_cell(
+      workload, gap_cell_label(strategy.label, node_budget), n_procs, batch, context,
+      cache, [&] {
+        return run_gap_cell(workload, strategy, n_procs, batch, context, node_budget);
+      });
 }
 
 }  // namespace feast::exact

@@ -57,8 +57,8 @@ CellStats run_gap_cell(const RandomGraphConfig& workload, const Strategy& strate
                        int n_procs, const BatchConfig& batch,
                        const RunContext& context, std::uint64_t node_budget);
 
-/// Cache-aware entry point, mirroring execute_cell: consults \p cache under
-/// the gap-decorated label, evaluates on a miss, stores the fresh result.
+/// Cache-aware entry point: execute_cached_cell over run_gap_cell, keyed by
+/// the gap-decorated label.
 ExecutedCell execute_gap_cell(const RandomGraphConfig& workload, const Strategy& strategy,
                               int n_procs, const BatchConfig& batch,
                               const RunContext& context, std::uint64_t node_budget,

@@ -1,7 +1,6 @@
 #include "experiment/sweep.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <optional>
 #include <vector>
 
@@ -16,15 +15,6 @@ namespace feast {
 namespace {
 
 std::atomic<CellCache*> g_cell_cache{nullptr};
-
-/// Full-precision double rendering: cache identities must survive any
-/// formatting round-trip, so %.17g (shortest exact for IEEE doubles is at
-/// most 17 significant digits).
-std::string full(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -54,22 +44,22 @@ std::string describe_cell(const RandomGraphConfig& workload,
          std::to_string(workload.max_depth);
   key += ",degree=" + std::to_string(workload.min_degree) + ":" +
          std::to_string(workload.max_degree);
-  key += ",alpha=" + full(workload.level_width_alpha);
+  key += ",alpha=" + format_full(workload.level_width_alpha);
   key += ",strict_fanin=" + std::to_string(workload.strict_fanin_cap ? 1 : 0);
-  key += ",met=" + full(workload.mean_exec_time);
-  key += ",spread=" + full(workload.exec_spread);
-  key += ",olr=" + full(workload.olr);
+  key += ",met=" + format_full(workload.mean_exec_time);
+  key += ",spread=" + format_full(workload.exec_spread);
+  key += ",olr=" + format_full(workload.olr);
   key += std::string(",olr_basis=") +
          (workload.olr_basis == OlrBasis::CriticalPath ? "critical-path"
                                                        : "total-workload");
-  key += ",ccr=" + full(workload.ccr);
-  key += ",msg_spread=" + full(workload.message_spread);
+  key += ",ccr=" + format_full(workload.ccr);
+  key += ",msg_spread=" + format_full(workload.message_spread);
   key += "}|strategy=" + strategy_label;
   key += "|procs=" + std::to_string(n_procs);
   key += "|batch{samples=" + std::to_string(batch.samples);
   key += ",seed=" + std::to_string(batch.seed);
-  key += ",pinned=" + full(batch.pinned_fraction);
-  key += ",tpi=" + full(batch.time_per_item);
+  key += ",pinned=" + format_full(batch.pinned_fraction);
+  key += ",tpi=" + format_full(batch.time_per_item);
   key += std::string(",contention=") + to_string(batch.contention);
   key += "}|run{release=" + std::string(to_string(context.scheduler.release_policy));
   key += std::string(",selection=") + to_string(context.scheduler.selection);
@@ -80,15 +70,16 @@ std::string describe_cell(const RandomGraphConfig& workload,
   return key;
 }
 
-ExecutedCell execute_cell(const RandomGraphConfig& workload, const Strategy& strategy,
-                          int n_procs, const BatchConfig& batch,
-                          const RunContext& context, CellCache* cache) {
+ExecutedCell execute_cached_cell(const RandomGraphConfig& workload,
+                                 const std::string& label, int n_procs,
+                                 const BatchConfig& batch, const RunContext& context,
+                                 CellCache* cache,
+                                 const std::function<CellStats()>& compute) {
   obs::Sink* const sink = context.sink != nullptr ? context.sink : obs::active();
 
   ExecutedCell result;
   if (cache != nullptr) {
-    result.canonical_key = describe_cell(workload, strategy.label, n_procs, batch,
-                                         context);
+    result.canonical_key = describe_cell(workload, label, n_procs, batch, context);
     if (!result.canonical_key.empty()) {
       CellStats cached;
       const bool hit = [&] {
@@ -105,11 +96,7 @@ ExecutedCell execute_cell(const RandomGraphConfig& workload, const Strategy& str
     }
   }
 
-  const GraphFactory factory = [&workload](std::size_t sample, std::uint64_t seed) {
-    Pcg32 rng(seed, /*stream=*/sample);
-    return generate_random_graph(workload, rng);
-  };
-  result.stats = run_custom_cell(factory, strategy, n_procs, batch, context);
+  result.stats = compute();
 
   if (cache != nullptr && !result.canonical_key.empty()) {
     obs::SpanScope span(sink, obs::Span::CacheStore);
@@ -117,6 +104,20 @@ ExecutedCell execute_cell(const RandomGraphConfig& workload, const Strategy& str
     obs::count_on(sink, obs::Counter::CacheStore);
   }
   return result;
+}
+
+ExecutedCell execute_cell(const RandomGraphConfig& workload, const Strategy& strategy,
+                          int n_procs, const BatchConfig& batch,
+                          const RunContext& context, CellCache* cache) {
+  const GraphFactory factory = [&workload](std::size_t sample, std::uint64_t seed) {
+    Pcg32 rng(seed, /*stream=*/sample);
+    return generate_random_graph(workload, rng);
+  };
+  return execute_cached_cell(workload, strategy.label, n_procs, batch, context, cache,
+                             [&] {
+                               return run_custom_cell(factory, strategy, n_procs,
+                                                      batch, context);
+                             });
 }
 
 CellStats run_cell(const RandomGraphConfig& workload, const Strategy& strategy,

@@ -99,6 +99,16 @@ struct ExecutedCell {
   std::string canonical_key;  ///< "" when the cell is uncacheable.
 };
 
+/// The cache consult every cell executor shares: keys the cell by
+/// describe_cell under \p label, answers from \p cache (may be nullptr) on a
+/// hit, and otherwise runs \p compute and stores its result.  Records the
+/// cache/lookup and cache/store spans and the hit/miss/store counters.
+ExecutedCell execute_cached_cell(const RandomGraphConfig& workload,
+                                 const std::string& label, int n_procs,
+                                 const BatchConfig& batch, const RunContext& context,
+                                 CellCache* cache,
+                                 const std::function<CellStats()>& compute);
+
 /// The single cell-execution entry point: consults \p cache (may be
 /// nullptr), evaluates the batch on a miss, and stores the fresh result.
 /// run_cell layers the process-wide cell_cache() on top; the campaign

@@ -6,7 +6,8 @@
 /// when no sink is installed, a SpanScope or count() is a single relaxed
 /// atomic load and a branch — tens of ns at worst, no allocation, no
 /// clock read — so instrumentation can stay compiled into hot paths
-/// permanently (CI gates the disabled overhead; see bench/perf_obs.cpp).
+/// permanently (bench/perf_obs.cpp reports that cost as advisory output
+/// and gates only the enabled-sink overhead).
 /// When a sink is installed, every thread records into its own
 /// ThreadBuffer (registered with the sink on first use, cached in TLS),
 /// so recording never takes a lock after the first event per thread.

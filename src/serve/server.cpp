@@ -8,7 +8,6 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -35,26 +34,6 @@ using Clock = std::chrono::steady_clock;
 namespace {
 
 // ------------------------------------------------------------ small helpers
-
-std::string full_digits(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_number(double value) {
-  if (std::isfinite(value)) return full_digits(value);
-  if (std::isnan(value)) return "\"nan\"";
-  return value > 0.0 ? "\"inf\"" : "\"-inf\"";
-}
-
-void append_summary_json(std::string& out, const char* name, const StatSummary& s) {
-  out += '"';
-  out += name;
-  out += "\": [" + std::to_string(s.count) + ", " + json_number(s.mean) + ", " +
-         json_number(s.stddev) + ", " + json_number(s.min) + ", " +
-         json_number(s.max) + ", " + json_number(s.ci95_half_width) + "]";
-}
 
 std::string error_body(const std::string& message, const std::string& kind = "") {
   std::string out = "{\"error\": \"" + json_escape(message) + "\"";
@@ -296,22 +275,14 @@ struct Server::Impl {
       reply_json(conn_id, 500, error_body(job.error, supervise::to_string(job.kind)));
       return;
     }
-    std::string out = "{\"cell\": " + std::to_string(job.cell_index) +
-                      ", \"state\": \"" +
-                      (job.shard.from_cache ? "cached" : "computed") +
-                      "\", \"wall_ms\": " + json_number(job.shard.wall_ms) +
-                      ", \"attempts\": " + std::to_string(job.attempts) +
-                      ",\n ";
-    append_summary_json(out, "max_lateness", job.shard.stats.max_lateness);
-    out += ", ";
-    append_summary_json(out, "end_to_end", job.shard.stats.end_to_end);
-    out += ",\n ";
-    append_summary_json(out, "makespan", job.shard.stats.makespan);
-    out += ", ";
-    append_summary_json(out, "min_laxity", job.shard.stats.min_laxity);
-    out += ",\n \"infeasible_runs\": " +
-           std::to_string(job.shard.stats.infeasible_runs) + "}\n";
-    reply_json(conn_id, 200, out);
+    std::ostringstream out;
+    out << "{\"cell\": " << job.cell_index << ", \"state\": \""
+        << (job.shard.from_cache ? "cached" : "computed")
+        << "\", \"wall_ms\": " << json_number(job.shard.wall_ms)
+        << ", \"attempts\": " << job.attempts << ",\n     ";
+    write_stats_json(out, job.shard.stats);
+    out << "}\n";
+    reply_json(conn_id, 200, out.str());
   }
 
   /// Builds the status-JSON view of one campaign job.

@@ -1,8 +1,11 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace feast {
 
@@ -211,6 +214,12 @@ JsonValue JsonParser::parse_number() {
 
 JsonValue parse_json(const std::string& text, JsonLimits limits) {
   return JsonParser(text, limits).parse();
+}
+
+std::string json_number(double value) {
+  if (std::isfinite(value)) return format_full(value);
+  if (std::isnan(value)) return "\"nan\"";
+  return value > 0.0 ? "\"inf\"" : "\"-inf\"";
 }
 
 std::string json_escape(const std::string& s) {

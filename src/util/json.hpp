@@ -86,6 +86,12 @@ class JsonParser {
 /// Convenience: parse a complete JSON document.
 JsonValue parse_json(const std::string& text, JsonLimits limits = {});
 
+/// Renders \p value as a JSON number at full precision (format_full).  JSON
+/// has no literal for NaN/Inf, and %.17g's bare `nan`/`inf` would be
+/// rejected by any parser (ours too), so non-finite values are written as
+/// the quoted strings "nan", "inf" and "-inf".
+std::string json_number(double value);
+
 /// Escapes \p s for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters as \uXXXX).
 std::string json_escape(const std::string& s);

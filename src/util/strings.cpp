@@ -24,6 +24,12 @@ std::string format_compact(double value, int precision) {
   return s;
 }
 
+std::string format_full(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
 std::string join(const std::vector<std::string>& pieces, const std::string& sep) {
   std::string out;
   for (std::size_t i = 0; i < pieces.size(); ++i) {

@@ -14,6 +14,11 @@ std::string format_fixed(double value, int precision);
 /// trailing zeros (and a trailing dot) removed.
 std::string format_compact(double value, int precision = 6);
 
+/// Formats a double with %.17g: enough significant digits that parsing
+/// the text back yields the same double.  Cache keys, cache records and
+/// manifests rely on that round trip.
+std::string format_full(double value);
+
 /// Joins string pieces with a separator.
 std::string join(const std::vector<std::string>& pieces, const std::string& sep);
 

@@ -17,6 +17,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/prop.hpp"
@@ -160,32 +161,41 @@ TEST(SchedBatch, RebuildForNewRateRewritesEveryLatency) {
 TEST(SchedBatch, BatchOfSeededGraphsMatchesSequentialRuns) {
   constexpr std::size_t kCount = 32;
   SeededBatch batch = make_batch(kCount, 20260808);
-  Machine machine;
-  machine.n_procs = 8;
-  machine.contention = CommContention::SharedBus;
   const SchedulerOptions options;
 
-  // N independent single-graph runs: the established entry point.
-  std::vector<std::uint64_t> sequential(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const Schedule s =
-        list_schedule(batch.graphs[i], batch.assignments[i], machine, options);
-    sequential[i] = schedule_trace_digest(batch.graphs[i], s);
-  }
+  // 16 processors is the largest fig2 cell; both contention models run there.
+  const std::pair<int, CommContention> machines[] = {
+      {8, CommContention::SharedBus},
+      {16, CommContention::SharedBus},
+      {16, CommContention::ContentionFree}};
+  for (const auto& [procs, contention] : machines) {
+    SCOPED_TRACE(std::to_string(procs) + " procs, " + to_string(contention));
+    Machine machine;
+    machine.n_procs = procs;
+    machine.contention = contention;
 
-  // One batch pass through the shared arenas, then a second pass over the
-  // same batch — the repeat skips every graph preparation and replays the
-  // memoized selection orders, and must still reproduce every fingerprint.
-  BatchScheduler scheduler;
-  for (int pass = 0; pass < 2; ++pass) {
-    std::vector<std::uint64_t> batched(kCount, 0);
-    scheduler.run(batch.graph_ptrs.data(), batch.assignment_ptrs.data(), kCount,
-                  machine, options,
-                  [&](std::size_t i, const Schedule& s) {
-                    batched[i] = schedule_trace_digest(batch.graphs[i], s);
-                  });
+    // N independent single-graph runs: the established entry point.
+    std::vector<std::uint64_t> sequential(kCount);
     for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(batched[i], sequential[i]) << "pass " << pass << " sample " << i;
+      const Schedule s =
+          list_schedule(batch.graphs[i], batch.assignments[i], machine, options);
+      sequential[i] = schedule_trace_digest(batch.graphs[i], s);
+    }
+
+    // One batch pass through the shared arenas, then a second pass over the
+    // same batch — the repeat skips every graph preparation and replays the
+    // memoized selection orders, and must still reproduce every fingerprint.
+    BatchScheduler scheduler;
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<std::uint64_t> batched(kCount, 0);
+      scheduler.run(batch.graph_ptrs.data(), batch.assignment_ptrs.data(), kCount,
+                    machine, options,
+                    [&](std::size_t i, const Schedule& s) {
+                      batched[i] = schedule_trace_digest(batch.graphs[i], s);
+                    });
+      for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(batched[i], sequential[i]) << "pass " << pass << " sample " << i;
+      }
     }
   }
 }
