@@ -1347,10 +1347,12 @@ int Server::run() {
   supervise::DrainSignalGuard signals;
   bool drained = false;
   while (true) {
-    // Assemble this tick's poll set: listener + every connection.
+    // Assemble this tick's poll set: listener + every connection, then the
+    // local workers' exit fds, so a finished worker wakes the tick whose
+    // step() harvests it.
     std::vector<pollfd> pfds;
     std::vector<std::uint64_t> pfd_conn;
-    pfds.reserve(impl.conns.size() + 1);
+    pfds.reserve(impl.conns.size() + 1 + impl.dispatcher->running());
     if (impl.listener.valid()) {
       pfds.push_back({impl.listener.fd(), POLLIN, 0});
       pfd_conn.push_back(0);
@@ -1361,11 +1363,12 @@ int Server::run() {
       pfds.push_back({conn.sock.fd(), events, 0});
       pfd_conn.push_back(id);
     }
+    impl.dispatcher->exit_fds(pfds);
     const int rc = ::poll(pfds.data(), pfds.size(), 20);
     (void)rc;  // EINTR and timeouts both fall through to the tick body.
 
     std::vector<std::uint64_t> closing;
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
+    for (std::size_t i = 0; i < pfd_conn.size(); ++i) {
       if (pfd_conn[i] == 0) {
         if ((pfds[i].revents & POLLIN) != 0) impl.accept_ready();
         continue;

@@ -93,6 +93,10 @@ class Dispatcher {
   std::vector<Event> drain(double grace_s);
   /// Kills the running local attempts and forgets their units.
   void kill_all(double grace_s);
+  /// WorkerPool::exit_fds of the local pool: step() harvests a woken one.
+  void exit_fds(std::vector<pollfd>& out) const {
+    if (pool_) pool_->exit_fds(out);
+  }
 
   std::size_t queued() const noexcept { return queued_; }
   std::size_t clients() const noexcept { return clients_.size(); }

@@ -1,18 +1,21 @@
 #include "supervise/subprocess.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 namespace feast::supervise {
 
@@ -28,6 +31,12 @@ double seconds_since(Clock::time_point start) {
 /// Returns the fd or -1 (the child then reports the failure via exec_errno).
 int open_redirect(const char* path) {
   return ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+}
+
+/// A pidfd for \p pid (always close-on-exec), or -1 where the kernel or a
+/// seccomp filter refuses pidfd_open.
+int open_exit_fd(pid_t pid) {
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
 }
 
 ExitStatus decode_wait_status(int wait_status) {
@@ -69,11 +78,13 @@ Subprocess::~Subprocess() {
     ::kill(pid_, SIGKILL);
     reap_blocking();
   }
+  close_exit_fd();
 }
 
 Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_), status_(other.status_) {
+    : pid_(other.pid_), exit_fd_(other.exit_fd_), status_(other.status_) {
   other.pid_ = -1;
+  other.exit_fd_ = -1;
   other.status_ = ExitStatus{};
 }
 
@@ -83,12 +94,20 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
       ::kill(pid_, SIGKILL);
       reap_blocking();
     }
+    close_exit_fd();
     pid_ = other.pid_;
+    exit_fd_ = other.exit_fd_;
     status_ = other.status_;
     other.pid_ = -1;
+    other.exit_fd_ = -1;
     other.status_ = ExitStatus{};
   }
   return *this;
+}
+
+void Subprocess::close_exit_fd() noexcept {
+  if (exit_fd_ >= 0) ::close(exit_fd_);
+  exit_fd_ = -1;
 }
 
 Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
@@ -103,12 +122,13 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
   // CLOEXEC pipe: a successful exec closes it silently; an exec/setup
   // failure writes errno, so the parent can throw with the real cause
-  // instead of inventing an exit-code convention.
+  // instead of inventing an exit-code convention.  Both ends are CLOEXEC
+  // from birth: a spawn on another thread must not leak them into its own
+  // child, whose lifetime would then hold this spawn's read() open.
   int err_pipe[2];
-  if (::pipe(err_pipe) != 0) {
+  if (::pipe2(err_pipe, O_CLOEXEC) != 0) {
     throw std::runtime_error(std::string("subprocess: pipe: ") + std::strerror(errno));
   }
-  ::fcntl(err_pipe[1], F_SETFD, FD_CLOEXEC);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -175,6 +195,7 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
   Subprocess child;
   child.pid_ = pid;
+  child.exit_fd_ = open_exit_fd(pid);
   return child;
 }
 
@@ -195,6 +216,7 @@ void Subprocess::reap_blocking() {
     status_.kind = ExitStatus::Kind::Lost;
   }
   status_.timed_out = timed_out;
+  close_exit_fd();
 }
 
 bool Subprocess::poll() {
@@ -216,6 +238,7 @@ bool Subprocess::poll() {
     status_.kind = ExitStatus::Kind::Lost;
   }
   status_.timed_out = timed_out;
+  close_exit_fd();
   return true;
 }
 
@@ -227,8 +250,14 @@ ExitStatus Subprocess::wait() {
 std::optional<ExitStatus> Subprocess::wait_for(double seconds) {
   const auto start = Clock::now();
   while (!poll()) {
-    if (seconds_since(start) >= seconds) return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const double left_s = seconds - seconds_since(start);
+    if (left_s <= 0.0) return std::nullopt;
+    // Sleep on the exit fd for the remaining time; without one (poll()
+    // ignores a negative fd), in 5 ms slices.  EINTR and timeouts both
+    // loop back to poll().
+    const int left_ms = static_cast<int>(std::min(std::ceil(left_s * 1e3), 1e9));
+    pollfd fd{exit_fd_, POLLIN, 0};
+    ::poll(&fd, 1, exit_fd_ >= 0 ? left_ms : std::min(left_ms, 5));
   }
   return status_;
 }

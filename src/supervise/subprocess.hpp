@@ -8,6 +8,11 @@
 /// with an error code — the misclassification the old `std::system`-based
 /// torture driver suffered.
 ///
+/// Each child carries an exit fd (a pidfd) that turns readable when it
+/// exits, so its owner can sleep in poll() until a worker finishes instead
+/// of waking on a fixed tick.  wait_for() sleeps on it; the supervisor and
+/// the serve daemon put their workers' exit fds in their own poll sets.
+///
 /// The watchdog pattern lives in `kill_and_reap`: SIGTERM, a bounded grace
 /// period, then SIGKILL escalation, always ending in a reaped child (no
 /// zombies).  `run_command` composes spawn + deadline + escalation for
@@ -94,6 +99,11 @@ class Subprocess {
   pid_t pid() const noexcept { return pid_; }
   bool spawned() const noexcept { return pid_ > 0; }
 
+  /// A close-on-exec pidfd that polls readable (POLLIN) once the child has
+  /// exited, until it is reaped; -1 once reaped, when moved from, or where
+  /// pidfd_open is unavailable (callers then wake on their own timeout).
+  int exit_fd() const noexcept { return exit_fd_; }
+
   /// Non-blocking: reaps and returns true when the child has finished
   /// (status() becomes valid).  False while it is still running.
   bool poll();
@@ -101,8 +111,9 @@ class Subprocess {
   /// Blocks until the child finishes; returns the decoded status.
   ExitStatus wait();
 
-  /// Polls until the child finishes or \p seconds elapse.  Returns the
-  /// status on completion, std::nullopt on timeout (child still running).
+  /// Blocks until the child finishes or \p seconds elapse, sleeping on
+  /// exit_fd().  Returns the status on completion, std::nullopt on timeout
+  /// (child still running).
   std::optional<ExitStatus> wait_for(double seconds);
 
   /// Sends \p sig to the child (no-op once reaped).
@@ -117,8 +128,10 @@ class Subprocess {
 
  private:
   void reap_blocking();
+  void close_exit_fd() noexcept;
 
   pid_t pid_ = -1;
+  int exit_fd_ = -1;
   ExitStatus status_;
 };
 

@@ -1,5 +1,7 @@
 #include "supervise/supervisor.hpp"
 
+#include <poll.h>
+
 #include <csignal>
 
 #include <algorithm>
@@ -371,6 +373,7 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
 
   DrainSignalGuard drain_guard;
   bool draining = false;
+  std::vector<pollfd> exit_fds;
 
   const auto progress_prefix = [&](std::ostream& out) -> std::ostream& {
     return out << "[" << finished << "/" << total << "] ";
@@ -445,7 +448,12 @@ CampaignResult run_supervised_campaign(const CampaignSpec& spec,
     }
 
     if (dispatcher.idle()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Sleep until a worker exits; the 10 ms tick still bounds the wait for
+    // due retries, the watchdog and a drain signal.  EINTR and timeouts
+    // both fall through to the next tick.
+    exit_fds.clear();
+    dispatcher.exit_fds(exit_fds);
+    ::poll(exit_fds.data(), exit_fds.size(), 10);
   }
 
   result.interrupted =

@@ -133,6 +133,12 @@ std::size_t WorkerPool::free_slots() const noexcept {
   return static_cast<std::size_t>(options_.slots) - running();
 }
 
+void WorkerPool::exit_fds(std::vector<pollfd>& out) const {
+  for (const Lease& lease : leases_) {
+    if (lease.proc.exit_fd() >= 0) out.push_back({lease.proc.exit_fd(), POLLIN, 0});
+  }
+}
+
 std::uint64_t WorkerPool::submit(const std::string& spec_path,
                                  std::size_t cell_index, const std::string& inject,
                                  const std::string& faults) {

@@ -24,6 +24,8 @@
 /// process.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -103,6 +105,10 @@ class WorkerPool {
 
   std::size_t running() const noexcept;
   std::size_t free_slots() const noexcept;
+  /// Appends a POLLIN entry for each running lease's exit fd: poll() on
+  /// them wakes when a worker finishes, and the next poll() of the pool
+  /// reaps it.
+  void exit_fds(std::vector<pollfd>& out) const;
 
   /// Leases a free slot to one `exec-cell` attempt on cell \p cell_index of
   /// the campaign spec at \p spec_path (\p inject is the poison action to

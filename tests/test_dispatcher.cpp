@@ -4,10 +4,17 @@
 ///        lease, settle, lost, step and drain.  Pins the round-robin fair
 ///        order, due times that never block due work, the uncharged
 ///        requeue → `net` poison path of missed lease deadlines,
-///        at-most-once settles, and the drain contract.
+///        at-most-once settles, and the drain contract.  One test runs a
+///        real `exec-cell` worker to pin that its exit wakes a poll() on
+///        the dispatcher's exit fds.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -200,6 +207,49 @@ TEST(Dispatcher, DrainReturnsTheQueueReleasesLeasesAndStopsRetrying) {
   EXPECT_EQ(released->kind, Kind::Released);
   EXPECT_EQ(released->attempts, 0);
   EXPECT_TRUE(dispatcher.idle());
+}
+
+TEST(Dispatcher, WorkerExitWakesAPollOnItsExitFds) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("feast-dispatcher-wake-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path spec = dir / "spec.feast";
+  std::ofstream(spec) << "name = wake\nsamples = 2\nseed = 7\n"
+                      << "strategies = pure\nsizes = 2\n";
+
+  DispatcherOptions options;
+  options.policy.max_attempts = 1;
+  options.pool.slots = 1;
+  options.pool.feastc_path = FEAST_FEASTC_PATH;
+  options.pool.no_cache = true;
+  options.pool.work_dir = (dir / "work").string();
+  Dispatcher dispatcher(options);
+  dispatcher.add({"cell", "c", spec.string(), 0, "", ""});
+  EXPECT_TRUE(dispatcher.step().empty());
+  ASSERT_EQ(dispatcher.running(), 1u);
+
+  std::vector<pollfd> fds;
+  dispatcher.exit_fds(fds);
+  if (fds.empty()) {
+    dispatcher.kill_all(/*grace_s=*/1.0);
+    fs::remove_all(dir);
+    GTEST_SKIP() << "pidfd_open is unavailable here";
+  }
+  ASSERT_EQ(fds.size(), 1u);
+  // The event, not a latency: a generous timeout cannot flake.
+  EXPECT_EQ(::poll(fds.data(), fds.size(), 10'000), 1) << "timed out";
+  EXPECT_NE(fds[0].revents & POLLIN, 0);
+
+  const std::vector<Dispatcher::Event> events = dispatcher.step();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, Kind::Done) << events[0].error;
+  EXPECT_TRUE(dispatcher.idle());
+  fds.clear();
+  dispatcher.exit_fds(fds);
+  EXPECT_TRUE(fds.empty());
+  fs::remove_all(dir);
 }
 
 }  // namespace

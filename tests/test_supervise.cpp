@@ -10,13 +10,17 @@
 /// reproduced on purpose, never by luck.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "campaign/campaign.hpp"
 #include "supervise/attempts.hpp"
@@ -170,6 +174,110 @@ TEST(Subprocess, RunCommandEnforcesDeadline) {
   const ExitStatus status = run_command({"sleep", "30"}, {}, /*timeout_s=*/0.3);
   EXPECT_TRUE(status.timed_out);
   EXPECT_FALSE(status.success());
+}
+
+/// Where each open fd of this process points ("pipe:[123]",
+/// "anon_inode:[pidfd]", a path, ...).
+std::set<std::string> fd_targets() {
+  std::set<std::string> targets;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const fs::path target = fs::read_symlink(entry.path(), ec);
+    if (!ec) targets.insert(target.string());
+  }
+  return targets;
+}
+
+std::size_t open_fd_count() {
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
+}
+
+bool readable_within(int fd, int timeout_ms) {
+  pollfd entry{fd, POLLIN, 0};
+  return ::poll(&entry, 1, timeout_ms) == 1 && (entry.revents & POLLIN) != 0;
+}
+
+TEST(Subprocess, ExitFdIsReadableOnExitAndClosedOnReap) {
+  Subprocess running = Subprocess::spawn({"sleep", "30"});
+  if (running.exit_fd() < 0) {
+    running.kill_and_reap(/*term_grace_s=*/1.0);
+    GTEST_SKIP() << "pidfd_open is unavailable here";
+  }
+  EXPECT_FALSE(readable_within(running.exit_fd(), 0)) << "readable while running";
+  const int fd = running.exit_fd();
+  Subprocess moved = std::move(running);
+  EXPECT_EQ(running.exit_fd(), -1);
+  EXPECT_EQ(moved.exit_fd(), fd);
+  moved.kill_and_reap(/*term_grace_s=*/1.0);
+  EXPECT_EQ(moved.exit_fd(), -1);
+
+  // Readable once the child exits and before it is reaped; closed by the
+  // reap, whichever call does it.
+  Subprocess polled = Subprocess::spawn({"/bin/true"});
+  ASSERT_GE(polled.exit_fd(), 0);
+  EXPECT_TRUE(readable_within(polled.exit_fd(), 10'000));
+  EXPECT_EQ(polled.status().kind, ExitStatus::Kind::None);
+  EXPECT_TRUE(polled.poll());
+  EXPECT_EQ(polled.exit_fd(), -1);
+
+  Subprocess waited = Subprocess::spawn({"/bin/true"});
+  ASSERT_GE(waited.exit_fd(), 0);
+  EXPECT_TRUE(waited.wait().success());
+  EXPECT_EQ(waited.exit_fd(), -1);
+}
+
+TEST(Subprocess, SpawnAndReapLeakNoFds) {
+  const std::size_t before = open_fd_count();
+  for (int i = 0; i < 64; ++i) {
+    Subprocess child = Subprocess::spawn({"/bin/true"});
+    if (i % 2 == 0) {
+      EXPECT_TRUE(child.wait().success());
+    } else {
+      EXPECT_TRUE(child.wait_for(/*seconds=*/10.0).has_value());
+    }
+  }
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST(Subprocess, ChildInheritsNoneOfTheParentsPidfdsOrPipes) {
+  // A child lists its own fds into its log while another Subprocess is live
+  // and a second thread keeps spawning: it must hold no pidfd and no pipe
+  // the test process did not already have before any spawn (every exit fd
+  // and exec-error pipe end is close-on-exec from birth).
+  ScratchDir dir("feast-subproc-inherit");
+  const std::set<std::string> baseline = fd_targets();
+  Subprocess live = Subprocess::spawn({"sleep", "30"});
+  std::atomic<bool> stop{false};
+  std::thread spawner([&] {
+    while (!stop.load()) Subprocess::spawn({"/bin/true"}).wait();
+  });
+  struct Joiner {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~Joiner() {
+      stop = true;
+      thread.join();
+    }
+  } joiner{stop, spawner};
+  std::vector<std::string> leaked;
+  for (int i = 0; i < 20 && leaked.empty(); ++i) {
+    const fs::path log = dir.path() / ("fds-" + std::to_string(i) + ".log");
+    SubprocessOptions options;
+    options.stdout_path = log.string();
+    EXPECT_TRUE(Subprocess::spawn({"ls", "-l", "/proc/self/fd"}, options).wait().success());
+    std::istringstream lines(read_file(log));
+    for (std::string line; std::getline(lines, line);) {
+      const std::size_t arrow = line.find(" -> ");
+      if (arrow == std::string::npos) continue;
+      const std::string target = line.substr(arrow + 4);
+      if (target.find("pidfd") != std::string::npos ||
+          (target.rfind("pipe:", 0) == 0 && baseline.count(target) == 0)) {
+        leaked.push_back(line);
+      }
+    }
+  }
+  EXPECT_TRUE(leaked.empty()) << "inherited: " << leaked.front();
 }
 
 // ---------------------------------------------------------------- backoff
