@@ -27,10 +27,75 @@ unsigned resolve_thread_count(unsigned threads) noexcept {
 }  // namespace
 
 struct WorkStealingPool::Impl {
+  /// Shared state of one parallel_for loop.  The calling thread claims
+  /// indices alongside the helpers and drives the loop to completion on
+  /// its own if no helper ever runs, so waiting can never deadlock — even
+  /// for nested loops started from inside pool workers.
+  struct Loop {
+    Loop(std::size_t total, const std::function<void(std::size_t)>& b)
+        : n(total), body(b) {}
+
+    const std::size_t n;
+    /// Only invoked by the caller and by entered helpers, all of which are
+    /// done before parallel_for returns and invalidates this reference.
+    const std::function<void(std::size_t)>& body;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::exception_ptr error;  ///< Guarded by mutex; first failure wins.
+    unsigned entered = 0;      ///< Helpers inside the loop; guarded by mutex.
+    bool closed = false;       ///< No helper may enter; guarded by mutex.
+
+    void participate() {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) return;
+        // After a failure the remaining indices are claimed but skipped.
+        if (failed.load(std::memory_order_relaxed)) continue;
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+      }
+    }
+
+    /// A helper starting: false once the loop is closed (it then does
+    /// nothing and records nothing).
+    bool enter() {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (closed) return false;
+      ++entered;
+      return true;
+    }
+
+    void leave() {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (--entered == 0 && closed) cv.notify_all();
+    }
+
+    /// The caller, once its own participate() has claimed every index:
+    /// shuts out helpers not yet started and waits for the entered ones,
+    /// which finish their indices before they leave.
+    void close() {
+      std::unique_lock<std::mutex> lock(mutex);
+      closed = true;
+      cv.wait(lock, [&] { return entered == 0; });
+    }
+  };
+
+  /// A queued task: a submitted function, or a helper of one loop.
+  struct Task {
+    std::function<void()> fn;
+    std::shared_ptr<Loop> loop;
+  };
+
   /// One deque per worker; the owner pops at the back, thieves at the front.
   struct WorkerQueue {
     std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
+    std::deque<Task> tasks;
   };
 
   /// Run: serve tasks.  Drain: finish every queued task, then exit
@@ -54,7 +119,7 @@ struct WorkStealingPool::Impl {
   std::atomic<std::size_t> pending{0};  ///< Tasks queued but not yet started.
   std::atomic<unsigned> next_queue{0};  ///< Round-robin cursor for external submits.
 
-  bool try_acquire(unsigned self, std::function<void()>& out) {
+  bool try_acquire(unsigned self, Task& out, bool& stolen) {
     {
       WorkerQueue& own = *queues[self];
       std::lock_guard<std::mutex> lock(own.mutex);
@@ -62,6 +127,7 @@ struct WorkStealingPool::Impl {
         out = std::move(own.tasks.back());
         own.tasks.pop_back();
         pending.fetch_sub(1, std::memory_order_relaxed);
+        stolen = false;
         return true;
       }
     }
@@ -72,13 +138,14 @@ struct WorkStealingPool::Impl {
         out = std::move(victim.tasks.front());
         victim.tasks.pop_front();
         pending.fetch_sub(1, std::memory_order_relaxed);
-        obs::count(obs::Counter::PoolSteal);
+        stolen = true;
         return true;
       }
     }
     return false;
   }
 
+  void push(Task task);
   void worker_main(unsigned index);
 };
 
@@ -92,23 +159,39 @@ void WorkStealingPool::Impl::worker_main(unsigned index) {
   tl_pool = this;
   tl_worker_index = index;
   obs::set_thread_label("pool-worker-" + std::to_string(index));
+  // Every record a worker makes happens once it has started a task: a
+  // loop helper only after entering its loop, whose caller cannot return
+  // from parallel_for (and free the sink) until the helper leaves.  So
+  // going idle is counted when the worker next starts work, not as it
+  // blocks.
+  bool idle = false;
   for (;;) {
-    std::function<void()> task;
-    if (try_acquire(index, task)) {
+    Task task;
+    bool stolen = false;
+    if (try_acquire(index, task, stolen)) {
+      if (task.loop != nullptr && !task.loop->enter()) continue;  // Loop over.
+      if (idle) obs::count(obs::Counter::PoolSleep);
+      if (stolen) obs::count(obs::Counter::PoolSteal);
+      idle = false;
       try {
         obs::SpanScope span(obs::Span::PoolTask);
         if (const auto fault = check::fire(check::FaultSite::PoolTask)) {
           check::execute(*fault, "pool-task");
         }
-        task();
+        if (task.loop != nullptr) {
+          task.loop->participate();
+        } else {
+          task.fn();
+        }
       } catch (const std::exception& e) {
         FEAST_LOG_WARN << "pool task threw: " << e.what();
       } catch (...) {
         FEAST_LOG_WARN << "pool task threw a non-standard exception";
       }
+      if (task.loop != nullptr) task.loop->leave();
       continue;
     }
-    obs::count(obs::Counter::PoolSleep);
+    idle = true;
     std::unique_lock<std::mutex> lock(sleep_mutex);
     sleep_cv.wait(lock, [&] {
       return mode != Mode::Run || pending.load(std::memory_order_relaxed) > 0;
@@ -193,22 +276,25 @@ void WorkStealingPool::resize(unsigned threads) {
 }
 
 void WorkStealingPool::submit(std::function<void()> task) {
-  Impl& impl = *impl_;
+  impl_->push(Impl::Task{std::move(task), nullptr});
+}
+
+void WorkStealingPool::Impl::push(Task task) {
+  const bool on_worker = tl_pool == this;
   // External submitters must not race a resize that is reshaping the queues
   // vector; workers cannot (resize joins them before mutating).
-  std::shared_lock<std::shared_mutex> structure_lock(impl.structure_mutex,
-                                                     std::defer_lock);
-  if (!on_worker_thread()) structure_lock.lock();
-  FEAST_REQUIRE(!impl.queues.empty());
+  std::shared_lock<std::shared_mutex> structure_lock(structure_mutex, std::defer_lock);
+  if (!on_worker) structure_lock.lock();
+  FEAST_REQUIRE(!queues.empty());
   unsigned target;
-  if (on_worker_thread()) {
+  if (on_worker) {
     target = tl_worker_index;  // LIFO slot of the spawning worker.
   } else {
-    target = impl.next_queue.fetch_add(1, std::memory_order_relaxed) %
-             static_cast<unsigned>(impl.queues.size());
+    target = next_queue.fetch_add(1, std::memory_order_relaxed) %
+             static_cast<unsigned>(queues.size());
   }
   {
-    Impl::WorkerQueue& queue = *impl.queues[target];
+    WorkerQueue& queue = *queues[target];
     std::lock_guard<std::mutex> lock(queue.mutex);
     queue.tasks.push_back(std::move(task));
   }
@@ -216,10 +302,10 @@ void WorkStealingPool::submit(std::function<void()> task) {
     // Serialize the increment with the workers' predicate-check-then-block:
     // incrementing outside sleep_mutex can land between a worker's predicate
     // evaluation and its block, losing the wakeup for good.
-    std::lock_guard<std::mutex> lock(impl.sleep_mutex);
-    impl.pending.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(sleep_mutex);
+    pending.fetch_add(1, std::memory_order_relaxed);
   }
-  impl.sleep_cv.notify_one();
+  sleep_cv.notify_one();
 }
 
 void WorkStealingPool::parallel_for(std::size_t n,
@@ -230,60 +316,14 @@ void WorkStealingPool::parallel_for(std::size_t n,
     return;
   }
 
-  /// Shared state of one loop.  The calling thread claims indices alongside
-  /// the helpers and drives the loop to completion on its own if no helper
-  /// ever runs, so waiting can never deadlock — even for nested loops issued
-  /// from inside pool workers.
-  struct Job {
-    Job(std::size_t total, const std::function<void(std::size_t)>& b)
-        : n(total), body(b) {}
-
-    const std::size_t n;
-    /// Only ever invoked for claimed indices; once completed == n the caller
-    /// may return (and invalidate this reference), but by then every
-    /// participant that could still call it has moved past the i >= n exit.
-    const std::function<void(std::size_t)>& body;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;  ///< Guarded by mutex; first failure wins.
-    std::mutex mutex;
-    std::condition_variable cv;
-
-    void participate() {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        // After a failure the remaining indices are claimed and counted but
-        // not executed, so `completed` still converges to n.
-        if (!failed.load(std::memory_order_relaxed)) {
-          try {
-            body(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!failed.exchange(true)) error = std::current_exception();
-          }
-        }
-        if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-          std::lock_guard<std::mutex> lock(mutex);  // Pairs with the waiter.
-          cv.notify_all();
-        }
-      }
-    }
-  };
-
-  auto job = std::make_shared<Job>(n, body);
+  auto loop = std::make_shared<Impl::Loop>(n, body);
   const std::size_t helpers = std::min<std::size_t>(worker_count(), n - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    submit([job] { job->participate(); });
-  }
-  job->participate();
-
-  std::unique_lock<std::mutex> lock(job->mutex);
-  job->cv.wait(lock, [&] {
-    return job->completed.load(std::memory_order_acquire) == job->n;
-  });
-  if (job->error) std::rethrow_exception(job->error);
+  for (std::size_t h = 0; h < helpers; ++h) impl_->push(Impl::Task{{}, loop});
+  loop->participate();
+  // Returns only once no helper can still record into the installed sink:
+  // the caller may destroy it as soon as this returns.
+  loop->close();
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 WorkStealingPool& WorkStealingPool::global() {

@@ -64,7 +64,11 @@ class WorkStealingPool {
   }
 
   /// Invokes body(i) for i in [0, n), spreading iterations over the workers
-  /// *and* the calling thread.  Returns when every invocation has finished.
+  /// *and* the calling thread.  Returns when every invocation has finished
+  /// and no helper it started can still record into the installed obs sink
+  /// (its pool/task span and steal count included), so the caller may
+  /// destroy that sink right after.  Helpers not started by then are
+  /// revoked: they run no index and record nothing.
   /// The first exception thrown by the body wins and is rethrown here after
   /// the remaining iterations have been cancelled (claimed but skipped).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);

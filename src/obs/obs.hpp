@@ -69,7 +69,7 @@ enum class Counter : std::uint8_t {
   BusGapProbe,  ///< Fast core: bus/link/processor timeline gap query.
   BusReserve,   ///< Fast core: timeline reservation committed.
   PoolSteal,    ///< Pool: task acquired from another worker's deque.
-  PoolSleep,    ///< Pool: worker went idle (blocked on the sleep cv).
+  PoolSleep,    ///< Pool: worker went idle (counted when it next starts a task).
   SuperviseSpawn,       ///< Supervisor: worker subprocess spawned.
   SuperviseRetry,       ///< Attempt ledger: failed attempt requeued (backoff).
   SuperviseKill,        ///< Supervisor: watchdog SIGTERM/SIGKILL issued.

@@ -1,6 +1,7 @@
 #include "sched/gantt.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -40,9 +41,9 @@ void write_gantt(std::ostream& out, const TaskGraph& graph, const Schedule& sche
                  const GanttOptions& options) {
   const Time span = schedule.makespan();
   out << "makespan = " << format_compact(span, 3) << " time units\n";
+  const ProcGroups groups = schedule.group_by_proc();
   for (int p = 0; p < schedule.n_procs(); ++p) {
-    const ProcId proc(static_cast<std::uint32_t>(p));
-    const std::vector<NodeId> tasks = schedule.tasks_on(proc);
+    const std::span<const NodeId> tasks = groups.on(static_cast<std::size_t>(p));
     std::string row(static_cast<std::size_t>(options.width), '.');
     std::vector<std::string> legend;
     for (std::size_t i = 0; i < tasks.size(); ++i) {

@@ -13,44 +13,53 @@ LatenessStats computation_lateness(const TaskGraph& graph,
                                    const DeadlineAssignment& assignment,
                                    const Schedule& schedule) {
   LatenessStats stats;
-  const auto& comps = graph.computation_nodes();
-  const std::size_t n = comps.size();
-  if (n == 0) {
-    stats.max_lateness = 0.0;
-    return stats;
-  }
-  // One pass in node order: the max keeps the *first* index attaining it
-  // (replaced only when strictly greater), and the mean is a left-to-right
-  // sum, so the statistics do not depend on anything but that order.
-  Time max = lateness_of(assignment, schedule, comps[0]);
-  std::size_t argmax = 0;
+  // One pass over the node ids in order (no id vector is built): the max
+  // keeps the *first* subtask attaining it (replaced only when strictly
+  // greater), and the mean is a left-to-right sum, so the statistics do
+  // not depend on anything but that order.
+  Time max = 0.0;
+  NodeId argmax;
+  std::size_t count = 0;
   std::size_t missed = 0;
   Time sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Time late = lateness_of(assignment, schedule, comps[i]);
-    if (late > max) {
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    const NodeId id(v);
+    if (!graph.is_computation(id)) continue;
+    const Time late = lateness_of(assignment, schedule, id);
+    if (count == 0 || late > max) {
       max = late;
-      argmax = i;
+      argmax = id;
     }
     if (late > kTimeEps) ++missed;
     sum += late;
+    ++count;
+  }
+  if (count == 0) {
+    stats.max_lateness = 0.0;
+    return stats;
   }
   stats.max_lateness = max;
-  stats.argmax = comps[argmax];
+  stats.argmax = argmax;
   stats.missed = missed;
-  stats.count = n;
-  stats.mean_lateness = sum / static_cast<double>(n);
+  stats.count = count;
+  stats.mean_lateness = sum / static_cast<double>(count);
   return stats;
 }
 
 Time end_to_end_lateness(const TaskGraph& graph, const Schedule& schedule) {
+  // The output subtasks (computation nodes without successors), walked in
+  // id order as graph.outputs() lists them, without building that list.
   Time worst = -kInfiniteTime;
-  for (const NodeId id : graph.outputs()) {
-    const Time deadline = graph.node(id).boundary_deadline;
-    FEAST_REQUIRE(is_set(deadline));
-    worst = std::max(worst, schedule.placement(id).finish - deadline);
+  bool any = false;
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    const NodeId id(v);
+    const Node& node = graph.node(id);
+    if (node.kind != NodeKind::Computation || !node.succs.empty()) continue;
+    FEAST_REQUIRE(is_set(node.boundary_deadline));
+    worst = std::max(worst, schedule.placement(id).finish - node.boundary_deadline);
+    any = true;
   }
-  return graph.outputs().empty() ? 0.0 : worst;
+  return any ? worst : 0.0;
 }
 
 }  // namespace feast

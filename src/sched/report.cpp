@@ -65,19 +65,27 @@ ScheduleQualityReport analyze_schedule(const TaskGraph& graph,
   report.makespan = schedule.makespan();
   report.avg_utilization = schedule.average_utilization();
 
+  // Busy time per processor, summed in id order as Schedule::busy_time does.
+  const ProcGroups groups = schedule.group_by_proc();
+  std::vector<Time> busy(groups.size(), 0.0);
+  for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+    const NodeId id(v);
+    if (!graph.is_computation(id)) continue;
+    const TaskPlacement& placement = schedule.placement(id);
+    busy[placement.proc.index()] += placement.finish - placement.start;
+  }
+
   double min_util = 1.0;
   double max_util = 0.0;
   for (int p = 0; p < schedule.n_procs(); ++p) {
-    const ProcId proc(static_cast<std::uint32_t>(p));
-    const double util =
-        report.makespan > 0.0 ? schedule.busy_time(proc) / report.makespan : 0.0;
+    const auto pi = static_cast<std::size_t>(p);
+    const double util = report.makespan > 0.0 ? busy[pi] / report.makespan : 0.0;
     min_util = std::min(min_util, util);
     max_util = std::max(max_util, util);
 
     // Largest idle gap between consecutive tasks on this processor.
-    const std::vector<NodeId> tasks = schedule.tasks_on(proc);
     Time prev_finish = 0.0;
-    for (const NodeId id : tasks) {
+    for (const NodeId id : groups.on(pi)) {
       const TaskPlacement& placement = schedule.placement(id);
       report.largest_idle_gap =
           std::max(report.largest_idle_gap, placement.start - prev_finish);

@@ -4,20 +4,6 @@
 
 namespace feast {
 
-const TaskPlacement& Schedule::placement(NodeId id) const {
-  FEAST_REQUIRE(id.index() < placements_.size());
-  const TaskPlacement& p = placements_[id.index()];
-  FEAST_REQUIRE_MSG(p.placed(), "subtask not placed");
-  return p;
-}
-
-const TransferRecord& Schedule::transfer(NodeId id) const {
-  FEAST_REQUIRE(id.index() < transfers_.size());
-  const TransferRecord& t = transfers_[id.index()];
-  FEAST_REQUIRE_MSG(t.recorded(), "transfer not recorded");
-  return t;
-}
-
 bool Schedule::complete(const TaskGraph& graph) const {
   // O(1) fast path: the counters track *distinct* placed/recorded nodes
   // (writers only count a slot's first write), so requiring the placed
@@ -49,17 +35,35 @@ bool Schedule::complete(const TaskGraph& graph) const {
   return true;
 }
 
-std::vector<NodeId> Schedule::tasks_on(ProcId proc) const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    if (placements_[i].placed() && placements_[i].proc == proc) {
-      out.push_back(NodeId(static_cast<std::uint32_t>(i)));
-    }
+void Schedule::group_by_proc(ProcGroups& out) const {
+  // Counting sort by processor: group p's count lands in offsets[p + 2], so
+  // after the prefix sum offsets[p + 1] is group p's first slot, and the
+  // fill below advances it to group p's end — leaving offsets[0..P] as the
+  // CSR offsets with one spare entry to drop.
+  std::vector<std::uint32_t>& offsets = out.offsets_;
+  offsets.assign(static_cast<std::size_t>(n_procs_) + 2, 0);
+  for (const TaskPlacement& p : placements_) {
+    if (!p.placed()) continue;
+    // Only an unchecked write can place beyond the machine; keep it visible.
+    if (p.proc.index() + 2 >= offsets.size()) offsets.resize(p.proc.index() + 3, 0);
+    ++offsets[p.proc.index() + 2];
   }
-  std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-    return placements_[a.index()].start < placements_[b.index()].start;
-  });
-  return out;
+  for (std::size_t g = 2; g < offsets.size(); ++g) offsets[g] += offsets[g - 1];
+  out.ids_.resize(offsets.back());
+  for (std::size_t i = 0; i < placements_.size(); ++i) {
+    if (!placements_[i].placed()) continue;
+    out.ids_[offsets[placements_[i].proc.index() + 1]++] =
+        NodeId(static_cast<std::uint32_t>(i));
+  }
+  offsets.pop_back();
+  // Groups are filled in id order, so std::sort leaves ties in the same
+  // order on every call.
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    std::sort(out.ids_.begin() + offsets[g], out.ids_.begin() + offsets[g + 1],
+              [&](NodeId a, NodeId b) {
+                return placements_[a.index()].start < placements_[b.index()].start;
+              });
+  }
 }
 
 Time Schedule::busy_time(ProcId proc) const {

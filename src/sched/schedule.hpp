@@ -8,6 +8,8 @@
 /// validator and the Gantt renderer.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sched/machine.hpp"
@@ -32,6 +34,29 @@ struct TransferRecord {
   bool crossed_bus = false;  ///< False when endpoints were co-located.
 
   bool recorded() const noexcept { return is_set(start); }
+};
+
+/// The placed computation subtasks of a schedule grouped by processor:
+/// group p lists the subtasks on P<p> in start order (ties as std::sort
+/// leaves them from id-ordered input, the same on every call).  Filled by
+/// Schedule::group_by_proc, which reuses the storage, so a caller keeping
+/// one ProcGroups across schedules groups with no allocation once it has
+/// grown.
+class ProcGroups {
+ public:
+  /// Number of groups: the schedule's processor count (more only when an
+  /// unchecked write placed a subtask beyond it).
+  std::size_t size() const noexcept { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+
+  /// Subtasks on processor \p p, sorted by start.
+  std::span<const NodeId> on(std::size_t p) const noexcept {
+    return {ids_.data() + offsets_[p], ids_.data() + offsets_[p + 1]};
+  }
+
+ private:
+  friend class Schedule;
+  std::vector<std::uint32_t> offsets_;  ///< Group p is ids_[offsets_[p], offsets_[p + 1]).
+  std::vector<NodeId> ids_;
 };
 
 /// A complete schedule over one task graph and machine.
@@ -115,11 +140,23 @@ class Schedule {
     transfer_count_ = 0;
   }
 
-  /// Placement of a computation subtask (must be placed).
-  const TaskPlacement& placement(NodeId id) const;
+  /// Placement of a computation subtask (must be placed).  Inline: the
+  /// validator and the lateness analysis read every placement of every
+  /// schedule.
+  const TaskPlacement& placement(NodeId id) const {
+    FEAST_REQUIRE(id.index() < placements_.size());
+    const TaskPlacement& p = placements_[id.index()];
+    FEAST_REQUIRE_MSG(p.placed(), "subtask not placed");
+    return p;
+  }
 
   /// Transfer record of a communication subtask (must be recorded).
-  const TransferRecord& transfer(NodeId id) const;
+  const TransferRecord& transfer(NodeId id) const {
+    FEAST_REQUIRE(id.index() < transfers_.size());
+    const TransferRecord& t = transfers_[id.index()];
+    FEAST_REQUIRE_MSG(t.recorded(), "transfer not recorded");
+    return t;
+  }
 
   /// True when \p id has been placed/recorded.
   bool scheduled(NodeId id) const {
@@ -135,8 +172,17 @@ class Schedule {
   /// retracted, so the incremental and recomputed maxima coincide).
   Time makespan() const noexcept { return makespan_; }
 
-  /// Computation subtasks on \p proc, sorted by start time.
-  std::vector<NodeId> tasks_on(ProcId proc) const;
+  /// Groups the placed computation subtasks by processor into \p out in
+  /// one counting pass plus one sort per group: O(n log n) for the whole
+  /// machine, reusing \p out's storage.
+  void group_by_proc(ProcGroups& out) const;
+
+  /// group_by_proc into fresh storage.
+  ProcGroups group_by_proc() const {
+    ProcGroups out;
+    group_by_proc(out);
+    return out;
+  }
 
   /// Total busy time of \p proc.
   Time busy_time(ProcId proc) const;

@@ -5,6 +5,7 @@
 ///        (context sinks, cache-key identity).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -120,16 +121,40 @@ TEST(Obs, SpansNestAcrossParallelForWorkers) {
             report.total_ms({obs::Span::Schedule}));
 }
 
+// The Obs.SpansNestAcrossParallelForWorkers pattern with the sink freed
+// right after the loop, repeated: a pool helper that still closed its
+// pool/task span, or counted a steal or an idle spell, into the freed sink
+// is a heap-use-after-free under ASan (the CI sanitizer jobs run this).
+TEST(ObsStress, SinkFreedRightAfterParallelFor) {
+  set_parallelism(4);
+  constexpr int kRounds = 250;
+  constexpr std::size_t kIterations = 32;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<std::size_t> ran{0};
+    auto sink = std::make_unique<obs::Sink>(/*capture_events=*/round % 2 == 1);
+    {
+      obs::ScopedSink scoped(*sink);
+      parallel_for(kIterations, [&ran](std::size_t) {
+        obs::SpanScope outer(obs::Span::CellRun);
+        obs::SpanScope inner(obs::Span::Schedule);
+        volatile unsigned spin = 0;
+        for (unsigned i = 0; i < 500; ++i) spin = spin + i;
+        ran.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    sink.reset();
+    ASSERT_EQ(ran.load(), kIterations) << "round " << round;
+  }
+  set_parallelism(0);
+}
+
 TEST(Obs, CounterMergeAcrossThreadsIsDeterministic) {
   set_parallelism(4);
   constexpr std::size_t kIterations = 64;
   const auto run_batch = [&] {
-    // parallel_for returns once every index has run, but a pool helper may
-    // still be closing its pool/task span (or counting a steal) into the
-    // installed sink.  The sink must outlive that, so it is never freed;
-    // the static list keeps it reachable for leak checkers.
-    static auto* const kept = new std::vector<std::unique_ptr<obs::Sink>>;
-    obs::Sink& sink = *kept->emplace_back(std::make_unique<obs::Sink>());
+    // Freed on return: parallel_for returns only once no helper can still
+    // record into the installed sink.
+    obs::Sink sink;
     {
       obs::ScopedSink scoped(sink);
       parallel_for(kIterations, [](std::size_t i) {

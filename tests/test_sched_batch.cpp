@@ -12,6 +12,7 @@
 /// nothrow-operator-new counting idiom of test_obs.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -25,7 +26,9 @@
 #include "core/metrics.hpp"
 #include "core/slicing.hpp"
 #include "sched/batch.hpp"
+#include "sched/lateness.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/schedule_validate.hpp"
 #include "sched/trace.hpp"
 #include "taskgraph/generator.hpp"
 #include "util/rng.hpp"
@@ -285,6 +288,53 @@ TEST(SchedBatch, SteadyStateBatchRunsAllocationFree) {
     EXPECT_EQ(allocations, 0u)
         << to_string(contention) << ": steady-state batch pass allocated";
     for (const Time m : makespans) EXPECT_GT(m, 0.0);
+  }
+}
+
+/// Checking a schedule allocates nothing either: after one warm pass (which
+/// grows the validator's per-thread scratch), validating valid schedules
+/// and measuring their lateness performs zero heap allocations on this
+/// thread, under both serial interconnects.
+TEST(SchedBatch, ValidationAndLatenessRunAllocationFree) {
+  constexpr std::size_t kCount = 16;
+  SeededBatch batch = make_batch(kCount, 11);
+  const SchedulerOptions options;
+  for (const CommContention contention :
+       {CommContention::SharedBus, CommContention::PointToPointLinks}) {
+    Machine machine;
+    machine.n_procs = 8;
+    machine.contention = contention;
+    std::vector<Schedule> schedules;
+    for (std::size_t i = 0; i < kCount; ++i) {
+      schedules.push_back(
+          list_schedule(batch.graphs[i], batch.assignments[i], machine, options));
+    }
+    std::size_t problems = 0;
+    std::size_t measured = 0;
+    Time worst = -kInfiniteTime;
+    const auto check_all = [&] {
+      for (std::size_t i = 0; i < kCount; ++i) {
+        const TaskGraph& graph = batch.graphs[i];
+        const DeadlineAssignment& assignment = batch.assignments[i];
+        problems += validate_schedule(graph, assignment, machine, schedules[i], options)
+                        .problems.size();
+        measured += computation_lateness(graph, assignment, schedules[i]).count;
+        worst = std::max(worst, end_to_end_lateness(graph, schedules[i]));
+      }
+    };
+    check_all();  // warm: grows the validator's scratch
+
+    problems = 0;
+    measured = 0;
+    const std::uint64_t before = tl_alloc_count;
+    check_all();
+    const std::uint64_t allocations = tl_alloc_count - before;
+    EXPECT_EQ(allocations, 0u) << to_string(contention) << ": checking a schedule allocated";
+    EXPECT_EQ(problems, 0u) << to_string(contention);
+    std::size_t subtasks = 0;
+    for (const TaskGraph& graph : batch.graphs) subtasks += graph.subtask_count();
+    EXPECT_EQ(measured, subtasks);
+    EXPECT_GT(worst, -kInfiniteTime);
   }
 }
 

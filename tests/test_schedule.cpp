@@ -53,16 +53,18 @@ TEST(Schedule, MisuseRejected) {
   EXPECT_THROW(s.record_transfer(f.comm, 10.0, 10.0, false), ContractViolation);
 }
 
-TEST(Schedule, TasksOnSortsByStart) {
+TEST(Schedule, GroupByProcSortsByStart) {
   Fixture f;
   Schedule s(f.g, f.machine);
   s.place(f.b, ProcId(0), 20.0, 40.0);
   s.place(f.a, ProcId(0), 0.0, 10.0);
-  const auto tasks = s.tasks_on(ProcId(0));
+  const ProcGroups groups = s.group_by_proc();
+  ASSERT_EQ(groups.size(), static_cast<std::size_t>(f.machine.n_procs));
+  const auto tasks = groups.on(0);
   ASSERT_EQ(tasks.size(), 2u);
   EXPECT_EQ(tasks[0], f.a);
   EXPECT_EQ(tasks[1], f.b);
-  EXPECT_TRUE(s.tasks_on(ProcId(1)).empty());
+  EXPECT_TRUE(groups.on(1).empty());
 }
 
 TEST(Schedule, BusyTimeAndUtilization) {
