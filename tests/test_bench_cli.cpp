@@ -45,6 +45,12 @@ TEST(BenchCli, SamplesAndSeed) {
   EXPECT_EQ(args.figure.seed, 16u);
 }
 
+TEST(BenchCli, SeedSpansFullU64) {
+  Argv argv({"--seed", "18446744073709551615"});
+  const BenchArgs args = parse_bench_args(argv.argc(), argv.argv(), "bench");
+  EXPECT_EQ(args.figure.seed, 18446744073709551615u);
+}
+
 TEST(BenchCli, QuickShorthand) {
   Argv argv({"--quick"});
   const BenchArgs args = parse_bench_args(argv.argc(), argv.argv(), "bench");
@@ -83,6 +89,12 @@ TEST(BenchCliDeathTest, BadNumberExits) {
   Argv argv({"--samples", "lots"});
   EXPECT_EXIT(parse_bench_args(argv.argc(), argv.argv(), "bench"),
               ::testing::ExitedWithCode(2), "bad number");
+}
+
+TEST(BenchCliDeathTest, NegativeSeedExits) {
+  Argv argv({"--seed", "-1"});
+  EXPECT_EXIT(parse_bench_args(argv.argc(), argv.argv(), "bench"),
+              ::testing::ExitedWithCode(2), "bad number for --seed");
 }
 
 TEST(BenchCliDeathTest, HelpExitsZero) {
