@@ -174,7 +174,10 @@ void WorkStealingPool::Impl::worker_main(unsigned index) {
       if (stolen) obs::count(obs::Counter::PoolSteal);
       idle = false;
       try {
-        obs::SpanScope span(obs::Span::PoolTask);
+        // A submitted task's body may wake the thread that frees the sink
+        // before this span closes; the hold makes that free wait for it.
+        obs::SinkHold hold;
+        obs::SpanScope span(hold.sink(), obs::Span::PoolTask);
         if (const auto fault = check::fire(check::FaultSite::PoolTask)) {
           check::execute(*fault, "pool-task");
         }

@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/pool.hpp"
 #include "experiment/figures.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/strategy.hpp"
@@ -144,6 +147,36 @@ TEST(ObsStress, SinkFreedRightAfterParallelFor) {
     }
     sink.reset();
     ASSERT_EQ(ran.load(), kIterations) << "round " << round;
+  }
+  set_parallelism(0);
+}
+
+TEST(ObsStress, SinkFreedRightAfterSubmit) {
+  // A plain submitted task signals its waiter from inside its body, before
+  // the worker closes the task's pool/task span; the waiter then frees the
+  // sink at once.  Under ASan a span that outlives the sink is a
+  // heap-use-after-free.
+  set_parallelism(4);
+  constexpr int kRounds = 2000;
+  constexpr int kTasks = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int done = 0;
+    auto sink = std::make_unique<obs::Sink>(/*capture_events=*/round % 2 == 1);
+    {
+      obs::ScopedSink scoped(*sink);
+      for (int t = 0; t < kTasks; ++t) {
+        WorkStealingPool::global().submit([&] {
+          std::lock_guard<std::mutex> lock(mutex);
+          ++done;
+          cv.notify_all();
+        });
+      }
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, [&] { return done == kTasks; });
+    }
+    sink.reset();
   }
   set_parallelism(0);
 }
