@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/flags.hpp"
 #include "util/strings.hpp"
 
 namespace feast::check {
@@ -89,13 +90,7 @@ FaultPlan::FaultPlan(const std::string& spec) {
     }
     const FaultSite site = parse_site(trim(parts[0]));
     const FaultAction action = parse_action(trim(parts[2]));
-    std::uint64_t nth = 0;
-    try {
-      nth = std::stoull(trim(parts[1]));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("fault rule occurrence must be a number, got '" +
-                                  parts[1] + "'");
-    }
+    const std::uint64_t nth = parse_u64("fault rule occurrence", trim(parts[1]));
     if (nth == 0) {
       throw std::invalid_argument("fault rule occurrence is 1-based, got 0 in '" +
                                   trimmed + "'");

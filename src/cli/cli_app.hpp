@@ -1,16 +1,17 @@
 /// \file cli_app.hpp
 /// \brief The `feastc` command-line tool, as a testable library.
 ///
-/// Subcommands:
-///   generate    emit a task graph (random §5.2 workload or a structured
-///               family) in the text format
-///   info        statistics and validation of a graph file
-///   distribute  assign execution windows with a chosen metric/estimator
-///   schedule    distribute + schedule + lateness report (+ Gantt)
-///   dot         Graphviz export
+/// Commands: generate, info, distribute, schedule, simulate and dot work on
+/// the text graph format; campaign (run / resume / status, plus the
+/// exec-cell verb the supervisor spawns), exact (solve / gap) and profile
+/// run experiments; diffsched, diffdist, torture and chaos are the
+/// differential and fault-injection harnesses; serve, submit and worker are
+/// the daemon, its client and its remote worker.  Each command declares its
+/// flags once, as rows of a util/flags.hpp table; the parser, `--help` and
+/// the usage errors come from the rows.
 ///
-/// All commands read a graph from a file argument or "-" (stdin) and write
-/// to stdout, so they compose:
+/// The graph commands read a graph from a file argument or "-" (stdin) and
+/// write to stdout, so they compose:
 ///
 ///   feastc generate --seed 7 | feastc schedule - --metric adapt --procs 4
 #pragma once

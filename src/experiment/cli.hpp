@@ -1,16 +1,8 @@
 /// \file cli.hpp
-/// \brief Shared command-line handling for the bench binaries.
-///
-/// Every bench accepts:
-///   --samples N   graphs per data point (default 128, the paper's batch)
-///   --seed S      root seed (default 0xFEA57)
-///   --quick       shorthand for --samples 16 (CI-friendly)
-///   --sizes list  comma-separated system sizes (default 2,4,...,16)
-///   --csv FILE    additionally dump all series as CSV
-///   --threads N   worker threads (default: hardware concurrency)
-///   --cache-dir D content-addressed result cache directory (off by default)
-///   --no-cache    ignore a --cache-dir (explicit override)
-///   --verbose     raise the log level
+/// \brief Shared command-line handling for the bench binaries: sample count
+///        and seed, system sizes, CSV output, threads, result cache and log
+///        level.  `<bench> --help` lists the flags, which are declared once
+///        in parse_bench_args (a util/flags.hpp table).
 #pragma once
 
 #include <optional>
