@@ -11,6 +11,7 @@
 
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
+#include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -364,6 +365,69 @@ TEST(Parallel, NestedLoopsComplete) {
     parallel_for(50, [&](std::size_t) { counts[i].fetch_add(1); });
   });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 50);
+}
+
+// ------------------------------------------------------------------- flags
+
+TEST(CliFlags, StrictParsers) {
+  EXPECT_EQ(parse_integer("n", "0x10"), 16);
+  EXPECT_EQ(parse_u64("s", "18446744073709551615"), 18446744073709551615u);
+  EXPECT_DOUBLE_EQ(parse_real("x", "1.5"), 1.5);
+  for (const std::string bad : {"-1", " -1", "1x", "", "18446744073709551616"}) {
+    EXPECT_THROW(parse_u64("s", bad), std::invalid_argument) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_integer("n", "12 "), std::invalid_argument);
+  EXPECT_EQ(parse_range<int>("r", " 2 : 5 "), std::make_pair(2, 5));
+  EXPECT_THROW(parse_range<int>("r", "5:2"), std::invalid_argument);
+}
+
+TEST(CliFlags, BoundMessagesNameTheRule) {
+  const auto message = [](Bound bound, double v, bool integral) {
+    try {
+      bound.check("--x", v, integral);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message(Bound::positive(), 0, true), "--x must be positive");
+  EXPECT_EQ(message(Bound::non_negative(), -1, true), "--x must be non-negative");
+  EXPECT_EQ(message(Bound::positive(), 0, false), "--x must be > 0");
+  EXPECT_EQ(message(Bound::between(1, 64), 65, true), "--x wants 1..64");
+  EXPECT_EQ(message({0.0, 1.0, false, true}, 1.0, false), "--x must be in [0, 1)");
+  EXPECT_EQ(message({0.0, 1.0, false, true}, 0.5, false), "accepted");
+}
+
+TEST(CliFlags, JoinedValueOnlyWhereTheMetavarSaysSo) {
+  bool isolate = false;
+  std::uint64_t seed = 0;
+  Flags flags("cmd");
+  flags.choice("--isolate", "=process", "h", {{"process", true}, {"none", false}}, isolate)
+      .number("--seed", "S", "h", seed);
+  flags.parse({"--isolate=process", "--seed", "7"});
+  EXPECT_TRUE(isolate);
+  EXPECT_EQ(seed, 7u);
+  flags.parse({"--isolate", "none"});
+  EXPECT_FALSE(isolate);
+  EXPECT_THROW(flags.parse({"--seed=3"}), UsageError);
+}
+
+TEST(CliFlags, HelpRowsLineUpAtTheColumn) {
+  bool quiet = false;
+  std::string name;
+  Flags flags;
+  flags.note("cmd <spec>", "synopsis")
+      .text("--name", "NAME", "first line\nsecond line", name)
+      .toggle("--quiet", "", quiet)
+      .note("  literal   line");
+  std::vector<Flags::HelpLine> lines;
+  flags.help(lines, 16);
+  ASSERT_EQ(lines.size(), 3u);  // The --quiet row has no help: hidden.
+  EXPECT_EQ(lines[0].text, "  cmd <spec>    synopsis");
+  EXPECT_EQ(lines[1].text, "  --name NAME   first line\n                second line");
+  EXPECT_EQ(lines[2].text, "  literal   line");
+  flags.parse({"--quiet"});
+  EXPECT_TRUE(quiet);
 }
 
 }  // namespace
