@@ -131,6 +131,24 @@ TEST(Shapes, RejectBadParameters) {
   EXPECT_THROW(make_fork_join(1, 0, 1, fixed_config(), rng), ContractViolation);
 }
 
+TEST(Shapes, RejectNonPositiveOrTinyOlr) {
+  // Every family releases its inputs at 0 and gives each output
+  // D = olr x basis; these small graphs keep 1e-12 x basis under kTimeEps.
+  for (const OlrBasis basis : {OlrBasis::TotalWorkload, OlrBasis::CriticalPath}) {
+    for (const double olr : {0.0, -1.0, 1e-12}) {
+      ShapeConfig config;
+      config.olr = olr;
+      config.olr_basis = basis;
+      Pcg32 rng(9);
+      EXPECT_THROW(make_chain(6, config, rng), ContractViolation) << olr;
+      EXPECT_THROW(make_in_tree(3, 2, config, rng), ContractViolation) << olr;
+      EXPECT_THROW(make_out_tree(3, 2, config, rng), ContractViolation) << olr;
+      EXPECT_THROW(make_fork_join(2, 3, 1, config, rng), ContractViolation) << olr;
+      EXPECT_THROW(make_diamond(4, config, rng), ContractViolation) << olr;
+    }
+  }
+}
+
 class ShapeSeedProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShapeSeedProperty, AllFamiliesValidateAcrossSeeds) {
