@@ -134,7 +134,6 @@ bool still_fails(const ShrinkModel& model, const GraphProperty& prop,
                  std::string& message) {
   if (model.subs.empty()) return false;
   const TaskGraph graph = model.to_graph();
-  if (!validate_structure(graph).ok()) return false;
   if (!validate_for_distribution(graph).ok()) return false;
   const auto failure = run_property(prop, graph);
   if (!failure) return false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "taskgraph/algorithms.hpp"
 #include "taskgraph/validate.hpp"
 
 namespace feast {
@@ -18,9 +17,12 @@ struct TimeBounds {
   std::vector<Time> ud;   ///< Ultimate deadline: min reachable boundary deadline.
 };
 
+/// Validates \p graph for distribution (the baselines' one validation)
+/// and computes its bounds in the validator's topological order.
 TimeBounds compute_bounds(const TaskGraph& graph, const CommCostEstimator& estimator) {
-  const auto order = topological_order(graph);
-  FEAST_REQUIRE(order.has_value());
+  const ValidationReport report = validate_for_distribution(graph);
+  require_valid(report);
+  const std::vector<NodeId>& order = report.order;
 
   std::vector<Time> eff(graph.node_count(), 0.0);
   for (const NodeId id : graph.all_nodes()) {
@@ -34,7 +36,7 @@ TimeBounds compute_bounds(const TaskGraph& graph, const CommCostEstimator& estim
   b.lft.assign(graph.node_count(), kInfiniteTime);
   b.ud.assign(graph.node_count(), kInfiniteTime);
 
-  for (const NodeId id : *order) {
+  for (const NodeId id : order) {
     Time est = 0.0;
     if (graph.preds(id).empty()) {
       est = graph.node(id).boundary_release;
@@ -48,7 +50,7 @@ TimeBounds compute_bounds(const TaskGraph& graph, const CommCostEstimator& estim
     b.eft[id.index()] = est + eff[id.index()];
   }
 
-  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId id = *it;
     Time lft = kInfiniteTime;
     Time ud = kInfiniteTime;
@@ -78,7 +80,6 @@ std::string UltimateDeadlineDistributor::name() const {
 }
 
 DeadlineAssignment UltimateDeadlineDistributor::distribute(const TaskGraph& graph) {
-  require_valid(validate_for_distribution(graph));
   const TimeBounds b = compute_bounds(graph, *estimator_);
   DeadlineAssignment result(graph);
   for (const NodeId id : graph.all_nodes()) {
@@ -97,7 +98,6 @@ std::string EffectiveDeadlineDistributor::name() const {
 }
 
 DeadlineAssignment EffectiveDeadlineDistributor::distribute(const TaskGraph& graph) {
-  require_valid(validate_for_distribution(graph));
   const TimeBounds b = compute_bounds(graph, *estimator_);
   DeadlineAssignment result(graph);
   for (const NodeId id : graph.all_nodes()) {
@@ -116,7 +116,6 @@ std::string ProportionalDistributor::name() const {
 }
 
 DeadlineAssignment ProportionalDistributor::distribute(const TaskGraph& graph) {
-  require_valid(validate_for_distribution(graph));
   const TimeBounds b = compute_bounds(graph, *estimator_);
 
   Time origin = kInfiniteTime;

@@ -70,7 +70,8 @@ struct FinderStats {
 };
 
 /// What both finders share: per-node effective and virtual costs, the
-/// full-graph topological order and the work counters.
+/// full-graph topological order (ValidationReport::order) and the work
+/// counters.
 class PathFinderBase {
  public:
   /// Effective (real or estimated) cost of a node, as used in the search.
@@ -88,8 +89,8 @@ class PathFinderBase {
   const FinderStats& stats() const noexcept { return stats_; }
 
  protected:
-  PathFinderBase(const TaskGraph& graph, const SliceMetric& metric,
-                 const CommCostEstimator& estimator);
+  PathFinderBase(const TaskGraph& graph, std::vector<NodeId> order,
+                 const SliceMetric& metric, const CommCostEstimator& estimator);
 
   const TaskGraph* graph_;
   const SliceMetric* metric_;
@@ -117,8 +118,8 @@ class PathFinderBase {
 /// The DP tables live in a thread-local scratch reused across finders.
 class CriticalPathFinder : public PathFinderBase {
  public:
-  CriticalPathFinder(const TaskGraph& graph, const SliceMetric& metric,
-                     const CommCostEstimator& estimator);
+  CriticalPathFinder(const TaskGraph& graph, std::vector<NodeId> order,
+                     const SliceMetric& metric, const CommCostEstimator& estimator);
 
   /// Finds the minimum-R maximal path of the residual graph, or nullopt
   /// when no unassigned node remains.  Deterministic: ties are broken
@@ -159,8 +160,8 @@ class CriticalPathFinder : public PathFinderBase {
 /// oracle in tests and benchmarks, not in hot paths.
 class CriticalPathFinderRef : public PathFinderBase {
  public:
-  CriticalPathFinderRef(const TaskGraph& graph, const SliceMetric& metric,
-                        const CommCostEstimator& estimator);
+  CriticalPathFinderRef(const TaskGraph& graph, std::vector<NodeId> order,
+                        const SliceMetric& metric, const CommCostEstimator& estimator);
 
   /// Same contract as CriticalPathFinder::find.
   std::optional<CriticalPathResult> find(const ResidualState& state);

@@ -9,15 +9,17 @@
 /// path.  Keep it simple — its job is to be obviously correct, not fast.
 /// Its only additions over the original code are the FinderStats counts.
 #include <algorithm>
+#include <utility>
 
 #include "core/path_finder.hpp"
 
 namespace feast {
 
 CriticalPathFinderRef::CriticalPathFinderRef(const TaskGraph& graph,
+                                             std::vector<NodeId> order,
                                              const SliceMetric& metric,
                                              const CommCostEstimator& estimator)
-    : PathFinderBase(graph, metric, estimator) {
+    : PathFinderBase(graph, std::move(order), metric, estimator) {
   best_.resize(graph.node_count());
   parent_.resize(graph.node_count());
 }

@@ -1,6 +1,7 @@
 #include "core/slicing.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "taskgraph/validate.hpp"
@@ -13,9 +14,10 @@ namespace {
 template <class Finder>
 DeadlineAssignment slice(const TaskGraph& graph, SliceMetric& metric,
                          const CommCostEstimator& estimator, SlicingOptions options) {
-  require_valid(validate_for_distribution(graph));
+  ValidationReport report = validate_for_distribution(graph);
+  require_valid(report);
   metric.prepare(graph);
-  Finder finder(graph, metric, estimator);
+  Finder finder(graph, std::move(report.order), metric, estimator);
 
   ResidualState state(graph.node_count());
   // Boundary conditions: input subtasks carry their release time, output

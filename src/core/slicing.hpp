@@ -54,9 +54,11 @@ class DeadlineDistributor {
   DeadlineDistributor(SliceMetric& metric, const CommCostEstimator& estimator,
                       SlicingOptions options = {});
 
-  /// Runs the algorithm.  Precondition: validate_for_distribution(graph)
-  /// passes.  Postcondition: the result is complete() and every output
-  /// subtask's absolute deadline is at most its boundary deadline.
+  /// Runs the algorithm.  Validates \p graph first, once
+  /// (validate_for_distribution; throws ContractViolation on a problem),
+  /// and searches in the validator's topological order.  Postcondition:
+  /// the result is complete() and every output subtask's absolute deadline
+  /// is at most its boundary deadline.
   DeadlineAssignment distribute(const TaskGraph& graph);
 
   /// Human-readable configuration, e.g. "PURE+CCNE".

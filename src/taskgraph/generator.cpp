@@ -5,7 +5,7 @@
 #include <string>
 
 #include "taskgraph/algorithms.hpp"
-#include "taskgraph/validate.hpp"
+#include "util/strings.hpp"
 
 namespace feast {
 
@@ -168,18 +168,22 @@ TaskGraph generate_random_graph(const RandomGraphConfig& config, Pcg32& rng) {
     }
   }
 
-  // Boundary timing per the OLR parameterization.
-  Time basis = 0.0;
-  switch (config.olr_basis) {
-    case OlrBasis::TotalWorkload: basis = graph.total_workload(); break;
-    case OlrBasis::CriticalPath: basis = longest_path_length(graph, computation_cost); break;
-  }
-  const Time deadline = config.olr * basis;
+  set_olr_boundaries(graph, config.olr, config.olr_basis);
+  return graph;
+}
+
+void set_olr_boundaries(TaskGraph& graph, double olr, OlrBasis basis) {
+  const Time deadline = olr * (basis == OlrBasis::TotalWorkload
+                                   ? graph.total_workload()
+                                   : longest_path_length(graph, computation_cost));
+  // Every output is reached from an input released at 0: the one window
+  // check validate_for_distribution could fail on.
+  FEAST_REQUIRE_MSG(time_lt(0.0, deadline),
+                    "overall laxity ratio " + format_compact(olr) +
+                        " leaves every end-to-end window empty: deadline " +
+                        format_compact(deadline) + " <= release 0");
   for (const NodeId id : graph.inputs()) graph.set_boundary_release(id, 0.0);
   for (const NodeId id : graph.outputs()) graph.set_boundary_deadline(id, deadline);
-
-  require_valid(validate_for_distribution(graph));
-  return graph;
 }
 
 void pin_random_fraction(TaskGraph& graph, double fraction, int n_procs, Pcg32& rng) {

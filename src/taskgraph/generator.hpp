@@ -75,6 +75,11 @@ struct RandomGraphConfig {
 /// state).
 TaskGraph generate_random_graph(const RandomGraphConfig& config, Pcg32& rng);
 
+/// Releases every input subtask at 0 and gives every output subtask the
+/// deadline D = olr × basis (§5.2); throws ContractViolation unless
+/// time_lt(0, D), i.e. when every window would be empty.
+void set_olr_boundaries(TaskGraph& graph, double olr, OlrBasis basis);
+
 /// Pins a uniformly random fraction of the computation subtasks to random
 /// processors among \p n_procs, modelling the strict subset of a system with
 /// relaxed locality constraints.  \p fraction in [0, 1].

@@ -3,9 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "taskgraph/algorithms.hpp"
-#include "taskgraph/validate.hpp"
-
 namespace feast {
 
 namespace {
@@ -37,17 +34,7 @@ class ShapeBuilder {
   }
 
   void finish(TaskGraph& graph) const {
-    Time basis = 0.0;
-    switch (config_.olr_basis) {
-      case OlrBasis::TotalWorkload: basis = graph.total_workload(); break;
-      case OlrBasis::CriticalPath:
-        basis = longest_path_length(graph, computation_cost);
-        break;
-    }
-    const Time deadline = config_.olr * basis;
-    for (const NodeId id : graph.inputs()) graph.set_boundary_release(id, 0.0);
-    for (const NodeId id : graph.outputs()) graph.set_boundary_deadline(id, deadline);
-    require_valid(validate_for_distribution(graph));
+    set_olr_boundaries(graph, config_.olr, config_.olr_basis);
   }
 
  private:

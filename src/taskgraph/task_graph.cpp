@@ -139,11 +139,4 @@ Time TaskGraph::mean_exec_time() const noexcept {
   return total_workload() / static_cast<Time>(subtask_count_);
 }
 
-void TaskGraph::apply_overall_laxity_ratio(double olr) {
-  FEAST_REQUIRE_MSG(olr > 0.0, "overall laxity ratio must be positive");
-  const Time deadline = olr * total_workload();
-  for (const NodeId id : inputs()) set_boundary_release(id, 0.0);
-  for (const NodeId id : outputs()) set_boundary_deadline(id, deadline);
-}
-
 }  // namespace feast

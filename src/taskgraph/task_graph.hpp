@@ -79,8 +79,9 @@ struct Node {
 ///    precedence constraint is mediated by a communication subtask, whose
 ///    message size may be zero for pure control dependences).
 ///
-/// Acyclicity is not enforced per-arc (that would be quadratic); call
-/// validate_structure() after construction, as generators and tests do.
+/// Acyclicity is not enforced per-arc (that would be quadratic):
+/// validate_structure() checks it, and validate_for_distribution(), which
+/// every distributor runs on its input, checks it with the boundary rules.
 class TaskGraph {
  public:
   /// Adds a computation subtask with execution time \p exec_time >= 0.
@@ -157,11 +158,6 @@ class TaskGraph {
 
   /// Mean execution time over computation subtasks (0 for an empty graph).
   Time mean_exec_time() const noexcept;
-
-  /// Applies every boundary deadline D = olr × total_workload() to all
-  /// output subtasks and release 0 to all input subtasks, reproducing the
-  /// paper's overall-laxity-ratio workload parameterization (§5.2).
-  void apply_overall_laxity_ratio(double olr);
 
  private:
   Node& mutable_node(NodeId id) {

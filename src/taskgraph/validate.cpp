@@ -1,6 +1,7 @@
 #include "taskgraph/validate.hpp"
 
-#include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "taskgraph/algorithms.hpp"
 #include "util/strings.hpp"
@@ -17,52 +18,11 @@ std::string node_label(const TaskGraph& graph, NodeId id) {
 
 ValidationReport validate_structure(const TaskGraph& graph) {
   ValidationReport report;
-  auto problem = [&](const std::string& msg) { report.problems.push_back(msg); };
-
-  for (const NodeId id : graph.all_nodes()) {
-    const Node& n = graph.node(id);
-    if (n.exec_time < 0.0) {
-      problem(node_label(graph, id) + ": negative execution time");
-    }
-    if (n.message_items < 0.0) {
-      problem(node_label(graph, id) + ": negative message size");
-    }
-    if (n.kind == NodeKind::Communication) {
-      if (n.preds.size() != 1 || n.succs.size() != 1) {
-        problem(node_label(graph, id) + ": communication node must have exactly one predecessor and one successor");
-        continue;
-      }
-      if (!graph.is_computation(n.preds.front()) || !graph.is_computation(n.succs.front())) {
-        problem(node_label(graph, id) + ": communication node endpoints must be computation subtasks");
-      }
-      if (n.exec_time != 0.0) {
-        problem(node_label(graph, id) + ": communication node carries an execution time");
-      }
-    } else {
-      for (const NodeId adj : n.preds) {
-        if (!graph.is_communication(adj)) {
-          problem(node_label(graph, id) + ": computation node has a non-communication predecessor");
-        }
-      }
-      for (const NodeId adj : n.succs) {
-        if (!graph.is_communication(adj)) {
-          problem(node_label(graph, id) + ": computation node has a non-communication successor");
-        }
-      }
-      if (n.pinned.valid() && n.kind != NodeKind::Computation) {
-        problem(node_label(graph, id) + ": only computation subtasks may be pinned");
-      }
-    }
-    // Adjacency symmetry.
-    for (const NodeId succ : n.succs) {
-      const auto& back = graph.preds(succ);
-      if (std::find(back.begin(), back.end(), id) == back.end()) {
-        problem(node_label(graph, id) + ": successor link without matching predecessor link");
-      }
-    }
+  if (auto order = topological_order(graph)) {
+    report.order = std::move(*order);
+  } else {
+    report.problems.push_back("graph contains a cycle");
   }
-
-  if (!is_acyclic(graph)) problem("graph contains a cycle");
   return report;
 }
 
@@ -76,29 +36,46 @@ ValidationReport validate_for_distribution(const TaskGraph& graph) {
     return report;
   }
 
-  for (const NodeId id : graph.inputs()) {
+  const std::vector<NodeId> inputs = graph.inputs();
+  const std::vector<NodeId> outputs = graph.outputs();
+  for (const NodeId id : inputs) {
     if (!is_set(graph.node(id).boundary_release)) {
       problem(node_label(graph, id) + ": input subtask lacks a boundary release time");
     }
   }
-  for (const NodeId id : graph.outputs()) {
+  for (const NodeId id : outputs) {
     if (!is_set(graph.node(id).boundary_deadline)) {
       problem(node_label(graph, id) + ": output subtask lacks an end-to-end deadline");
     }
   }
   if (!report.ok()) return report;
 
+  // One forward sweep in topological order: bit i of a node's row is set
+  // when inputs[i] reaches the node.
+  const std::size_t words = (inputs.size() + 63) / 64;
+  std::vector<std::uint64_t> reach(graph.node_count() * words, 0);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    reach[inputs[i].index() * words + i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+  for (const NodeId id : report.order) {
+    std::uint64_t* row = &reach[id.index() * words];
+    for (const NodeId pred : graph.preds(id)) {
+      const std::uint64_t* from = &reach[pred.index() * words];
+      for (std::size_t w = 0; w < words; ++w) row[w] |= from[w];
+    }
+  }
+
   // Every (input, output) pair connected by a path must leave a positive
   // window: deadline(output) > release(input).
-  for (const NodeId in : graph.inputs()) {
-    for (const NodeId out : graph.outputs()) {
-      if (!reachable(graph, in, out)) continue;
-      const Time release = graph.node(in).boundary_release;
-      const Time deadline = graph.node(out).boundary_deadline;
-      if (!time_lt(release, deadline)) {
-        problem("end-to-end window of pair (" + graph.node(in).name + ", " +
-                graph.node(out).name + ") is empty: release " +
-                format_compact(release) + " >= deadline " + format_compact(deadline));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Node& in = graph.node(inputs[i]);
+    for (const NodeId out_id : outputs) {
+      if ((reach[out_id.index() * words + i / 64] >> (i % 64) & 1U) == 0) continue;
+      const Node& out = graph.node(out_id);
+      if (!time_lt(in.boundary_release, out.boundary_deadline)) {
+        problem("end-to-end window of pair (" + in.name + ", " + out.name +
+                ") is empty: release " + format_compact(in.boundary_release) +
+                " >= deadline " + format_compact(out.boundary_deadline));
       }
     }
   }

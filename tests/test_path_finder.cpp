@@ -11,6 +11,7 @@
 #include "core/metrics.hpp"
 #include "core/path_finder.hpp"
 #include "taskgraph/task_graph.hpp"
+#include "taskgraph/validate.hpp"
 
 namespace feast {
 namespace {
@@ -71,7 +72,7 @@ TEST(PathFinder, PureSelectsHeavyBranch) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
 
     const auto result = finder.find(f.fresh_state());
     ASSERT_TRUE(result.has_value());
@@ -92,7 +93,7 @@ TEST(PathFinder, NormSelectsHeavyBranchWithProportionalRatio) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
 
     const auto result = finder.find(f.fresh_state());
     ASSERT_TRUE(result.has_value());
@@ -108,7 +109,7 @@ TEST(PathFinder, CcaaCountsCommunicationHops) {
   metric.prepare(f.g);
   CcaaEstimator ccaa;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccaa);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccaa);
 
     const auto result = finder.find(f.fresh_state());
     ASSERT_TRUE(result.has_value());
@@ -128,7 +129,7 @@ TEST(PathFinder, CcneExcludesCommunicationFromHops) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
 
     const auto result = finder.find(f.fresh_state());
     ASSERT_TRUE(result.has_value());
@@ -144,7 +145,7 @@ TEST(PathFinder, SecondIterationSeesResidualGraph) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
 
     ResidualState state = f.fresh_state();
     const auto first = finder.find(state);
@@ -183,7 +184,7 @@ TEST(PathFinder, ExhaustedResidualReturnsNullopt) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
 
     ResidualState state = f.fresh_state();
     for (const NodeId id : f.g.all_nodes()) state.assigned[id.index()] = true;
@@ -212,7 +213,7 @@ TEST(PathFinder, MultipleSourcesWithDifferentBounds) {
   metric.prepare(g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(g, metric, ccne);
+    Finder finder(g, validate_structure(g).order, metric, ccne);
     const auto result = finder.find(state);
     ASSERT_TRUE(result.has_value());
     // Path from a2: window 60, Σc 20, 2 hops -> R = 20.
@@ -228,7 +229,7 @@ TEST(PathFinder, VirtualCostsExposedForInspection) {
   metric.prepare(f.g);
   CcaaEstimator ccaa;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccaa);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccaa);
     EXPECT_DOUBLE_EQ(finder.effective_cost(f.c), 50.0);
     EXPECT_DOUBLE_EQ(finder.virtual_cost(f.c), 100.0);
     EXPECT_DOUBLE_EQ(finder.virtual_cost(f.a), 10.0);
@@ -258,7 +259,7 @@ TEST(PathFinder, SymmetricTiesBreakDeterministically) {
   metric.prepare(g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(g, metric, ccne);
+    Finder finder(g, validate_structure(g).order, metric, ccne);
     ResidualState state(g.node_count());
     state.lb[a.index()] = 0.0;
     state.ub[z.index()] = 100.0;
@@ -289,7 +290,7 @@ TEST(PathFinder, SingleNodeGraph) {
   metric.prepare(g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(g, metric, ccne);
+    Finder finder(g, validate_structure(g).order, metric, ccne);
     const auto result = finder.find(state);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->nodes, std::vector<NodeId>{only});
@@ -326,7 +327,7 @@ TEST(PathFinder, WinningGroupSweptBeforeTheLastKeepsItsPath) {
   metric.prepare(g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(g, metric, ccne);
+    Finder finder(g, validate_structure(g).order, metric, ccne);
     const auto result = finder.find(state);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(finder.stats().lb_groups, 2u);
@@ -353,7 +354,7 @@ TEST(PathFinder, FrontierFollowsStatesThatMoveBackwards) {
   metric.prepare(f.g);
   CcneEstimator ccne;
   on_both_finders([&]<class Finder>() {
-    Finder finder(f.g, metric, ccne);
+    Finder finder(f.g, validate_structure(f.g).order, metric, ccne);
     const auto fresh = finder.find(f.fresh_state());
     ASSERT_TRUE(fresh.has_value());
 
@@ -388,10 +389,12 @@ TEST(PathFinder, InterleavedFindersShareTheThreadScratch) {
   PureMetric metric;
   metric.prepare(small.g);
   CcaaEstimator ccaa;
-  CriticalPathFinder small_fast(small.g, metric, ccaa);
-  CriticalPathFinderRef small_ref(small.g, metric, ccaa);
-  CriticalPathFinder big_fast(big, metric, ccaa);
-  CriticalPathFinderRef big_ref(big, metric, ccaa);
+  const std::vector<NodeId> small_order = validate_structure(small.g).order;
+  const std::vector<NodeId> big_order = validate_structure(big).order;
+  CriticalPathFinder small_fast(small.g, small_order, metric, ccaa);
+  CriticalPathFinderRef small_ref(small.g, small_order, metric, ccaa);
+  CriticalPathFinder big_fast(big, big_order, metric, ccaa);
+  CriticalPathFinderRef big_ref(big, big_order, metric, ccaa);
   for (int round = 0; round < 3; ++round) {
     const auto bf = big_fast.find(big_state);
     const auto sf = small_fast.find(small.fresh_state());

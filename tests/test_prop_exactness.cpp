@@ -31,6 +31,7 @@
 #include "core/metrics.hpp"
 #include "core/path_finder.hpp"
 #include "core/slicing.hpp"
+#include "taskgraph/validate.hpp"
 
 namespace feast::check {
 namespace {
@@ -94,7 +95,7 @@ std::optional<std::string> check_exact(const TaskGraph& graph, SliceMetric& metr
                                        const CommCostEstimator& estimator) {
   const DeadlineAssignment assignment = distribute_deadlines(graph, metric, estimator);
   metric.prepare(graph);
-  CriticalPathFinder finder(graph, metric, estimator);
+  CriticalPathFinder finder(graph, validate_structure(graph).order, metric, estimator);
   const SlackShare share = metric.share();
 
   ResidualState state(graph.node_count());
@@ -230,8 +231,8 @@ TEST(PropExactness, NormInvertedWindowIsOutsideTheClaim) {
   NormMetric metric;
   metric.prepare(g);
   CcneEstimator ccne;
-  CriticalPathFinder finder(g, metric, ccne);
-  CriticalPathFinderRef ref(g, metric, ccne);
+  CriticalPathFinder finder(g, validate_structure(g).order, metric, ccne);
+  CriticalPathFinderRef ref(g, validate_structure(g).order, metric, ccne);
   const auto found = finder.find(state);
   const auto oracle = ref.find(state);
   ASSERT_TRUE(found && oracle);
@@ -272,7 +273,7 @@ TEST(PropExactness, EnumeratorSeesEveryMaximalPath) {
   PureMetric metric;
   metric.prepare(g);
   CcaaEstimator ccaa;
-  CriticalPathFinder finder(g, metric, ccaa);
+  CriticalPathFinder finder(g, validate_structure(g).order, metric, ccaa);
   ResidualState state(g.node_count());
   state.lb[a.index()] = 0.0;
   state.ub[d.index()] = 100.0;
