@@ -5,10 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "core/distribution_validate.hpp"
 #include "exact/exact.hpp"
 #include "obs/obs.hpp"
 #include "sched/lateness.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/schedule_validate.hpp"
 #include "taskgraph/generator.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -47,14 +49,9 @@ CellStats run_gap_cell(const RandomGraphConfig& workload, const Strategy& strate
   if (sink != nullptr && sink != obs::active()) scoped.emplace(*sink);
   obs::SpanScope cell_span(sink, obs::Span::CellRun);
 
-  // Machine derivation is identical to run_custom_cell: gap cells see the
-  // exact same machines (and, below, the exact same graphs) as the
+  // Gap cells see the same machines (and, below, the same graphs) as the
   // lateness cells of the same batch.
-  Machine machine;
-  machine.n_procs = n_procs;
-  machine.time_per_item = batch.time_per_item;
-  machine.contention = batch.contention;
-  if (batch.shape_machine) batch.shape_machine(machine);
+  const Machine machine = cell_machine(n_procs, batch);
 
   const auto n = static_cast<std::size_t>(batch.samples);
   std::vector<GapSample> samples(n);
@@ -76,11 +73,20 @@ CellStats run_gap_cell(const RandomGraphConfig& workload, const Strategy& strate
       obs::SpanScope span(sink, obs::Span::Distribute);
       return distributor->distribute(graph);
     }();
+    if (context.validate) {
+      obs::SpanScope span(sink, obs::Span::Validate);
+      require_valid(check_assignment_basic(graph, assignment));
+    }
     const Schedule schedule = [&] {
       obs::SpanScope span(sink, obs::Span::Schedule);
       return list_schedule_with(context.core, graph, assignment, machine,
                                 context.scheduler);
     }();
+    if (context.validate) {
+      obs::SpanScope span(sink, obs::Span::Validate);
+      require_valid(
+          validate_schedule(graph, assignment, machine, schedule, context.scheduler));
+    }
 
     GapSample& out = samples[sample];
     out.heuristic = computation_lateness(graph, assignment, schedule).max_lateness;

@@ -51,7 +51,9 @@ inline constexpr double kGapCheckEps = 1e-6;
 std::string gap_cell_label(const std::string& strategy_label, std::uint64_t node_budget);
 
 /// Evaluates one gap cell: batch.samples graphs, heuristic vs oracle.
-/// Throws std::runtime_error (naming the violating sample and seed) when a
+/// When context.validate is set, each sample's assignment and schedule are
+/// validated as run_once does (ContractViolation on a problem).  Throws
+/// std::runtime_error (naming the violating sample and seed) when a
 /// sample's optimal exceeds its heuristic beyond the certified tolerance.
 CellStats run_gap_cell(const RandomGraphConfig& workload, const Strategy& strategy,
                        int n_procs, const BatchConfig& batch,

@@ -125,6 +125,15 @@ CellStats run_cell(const RandomGraphConfig& workload, const Strategy& strategy,
   return execute_cell(workload, strategy, n_procs, batch, context, cell_cache()).stats;
 }
 
+Machine cell_machine(int n_procs, const BatchConfig& batch) {
+  Machine machine;
+  machine.n_procs = n_procs;
+  machine.time_per_item = batch.time_per_item;
+  machine.contention = batch.contention;
+  if (batch.shape_machine) batch.shape_machine(machine);
+  return machine;
+}
+
 CellStats run_custom_cell(const GraphFactory& factory, const Strategy& strategy,
                           int n_procs, const BatchConfig& batch,
                           const RunContext& context) {
@@ -143,16 +152,8 @@ CellStats run_custom_cell(const GraphFactory& factory, const Strategy& strategy,
   const auto n = static_cast<std::size_t>(batch.samples);
   std::vector<RunResult> results(n);
 
-  // The machine is a cell-level constant: derived from the (n_procs, batch)
-  // axes, never from context.machine (which describes bare run_once calls).
-  Machine machine;
-  machine.n_procs = n_procs;
-  machine.time_per_item = batch.time_per_item;
-  machine.contention = batch.contention;
-  if (batch.shape_machine) batch.shape_machine(machine);
-
   RunContext run_context = context;
-  run_context.machine = machine;
+  run_context.machine = cell_machine(n_procs, batch);
 
   parallel_for(n, [&](std::size_t sample) {
     // Graph seed depends only on (batch seed, sample): the same graphs are

@@ -43,6 +43,10 @@ struct BatchConfig {
   std::string machine_tag;
 };
 
+/// The machine of every cell kind on the (n_procs, batch) axes; never
+/// RunContext::machine, which describes bare run_once calls.
+Machine cell_machine(int n_procs, const BatchConfig& batch);
+
 /// Aggregates of one (workload, strategy, system size) cell.
 struct CellStats {
   StatSummary max_lateness;  ///< The figures' y-axis (mean of per-run maxima).

@@ -20,6 +20,8 @@
 #include "check/invariants.hpp"
 #include "check/prop.hpp"
 #include "exact/exact.hpp"
+#include "exact/gap.hpp"
+#include "obs/obs.hpp"
 #include "experiment/strategy.hpp"
 #include "sched/lateness.hpp"
 #include "sched/list_scheduler.hpp"
@@ -176,6 +178,27 @@ TEST(PropExact, BudgetExhaustionKeepsAValidIncumbent) {
     EXPECT_LE(result.optimal, heuristic) << "seed " << seed;
     EXPECT_LE(result.bound, result.optimal) << "seed " << seed;
     EXPECT_EQ(result.placement.size(), graph.subtask_count()) << "seed " << seed;
+  }
+}
+
+/// A gap cell validates each sample's assignment and schedule when the
+/// context asks, as run_once does: one Validate span each per sample.
+TEST(GapCell, ValidatesEachSampleWhenTheContextAsks) {
+  BatchConfig batch;
+  batch.samples = 3;
+  batch.seed = 21;
+  for (const bool validate : {true, false}) {
+    obs::Sink sink;
+    RunContext context;
+    context.validate = validate;
+    context.sink = &sink;
+    (void)exact::run_gap_cell(oracle_config(), strategy_pure(EstimatorKind::CCNE), 2,
+                              batch, context, /*node_budget=*/20000);
+    std::uint64_t validations = 0;
+    for (const obs::Report::SpanRow& row : sink.report().spans) {
+      if (row.span == obs::Span::Validate) validations += row.count;
+    }
+    EXPECT_EQ(validations, validate ? 2u * 3u : 0u) << "validate=" << validate;
   }
 }
 
