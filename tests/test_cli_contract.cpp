@@ -375,6 +375,30 @@ TEST(CliContract, CommandHelpListsOnlyThatCommand) {
   }
 }
 
+TEST(CliContract, HelpOnlyWhereAFlagIsExpected) {
+  // As a flag's value, -h and --help are that value, not a help request.
+  const CliRun seed = run({"generate", "--seed", "-h"});
+  EXPECT_EQ(seed.code, 2);
+  EXPECT_EQ(seed.out, "");
+  EXPECT_NE(seed.err.find("bad number for --seed"), std::string::npos) << seed.err;
+  const CliRun name = run({"worker", "--name", "--help"});
+  EXPECT_EQ(name.code, 2);
+  EXPECT_EQ(name.out, "");
+  EXPECT_NE(name.err.find("--connect HOST:PORT is required"), std::string::npos)
+      << name.err;
+
+  // Where a flag or a verb is expected, both still ask for help.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"generate", "--seed", "3", "-h"},
+                                             {"campaign", "--help"},
+                                             {"campaign", "run", "-h"},
+                                             {"exact", "-h"}}) {
+    const CliRun r = run(args);
+    EXPECT_EQ(r.code, 0) << joined(args) << "\n" << r.err;
+    EXPECT_EQ(r.out.rfind("usage: feastc <command> [options]", 0), 0u) << joined(args);
+  }
+}
+
 TEST(CliContract, EveryFlagIsAccepted) {
   // A trailing unknown option proves the parser got past the flag: the
   // error then names '--bogus', not the flag under test.
