@@ -26,6 +26,7 @@
 #include "sched/batch.hpp"
 #include "sched/list_scheduler.hpp"
 #include "taskgraph/generator.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -161,27 +162,28 @@ int main(int argc, char** argv) {
   double max_enabled_overhead_pct = 0.0;  ///< Enabled-sink ceiling (0 = off).
   std::string out_path = "BENCH_obs.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "perf_obs: " << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--samples") samples = std::stoi(next());
-    else if (arg == "--reps") reps = std::stoi(next());
-    else if (arg == "--procs") procs = std::stoi(next());
-    else if (arg == "--max-enabled-overhead-pct")
-      max_enabled_overhead_pct = std::stod(next());
-    else if (arg == "--out") out_path = next();
-    else if (arg == "--quick") { samples = 32; reps = 3; }
-    else {
-      std::cerr << "usage: perf_obs [--samples N] [--reps N] [--procs N]"
-                   " [--max-enabled-overhead-pct X] [--out FILE] [--quick]\n";
-      return 2;
-    }
+  Flags flags;
+  flags.number("--samples", "N", "graphs in the batch (default 128)", samples,
+               Bound::positive())
+      .number("--reps", "N", "timed repetitions, best kept (default 5)", reps,
+              Bound::positive())
+      .number("--procs", "N", "processors (default 8)", procs, Bound::positive())
+      .number("--max-enabled-overhead-pct", "X",
+              "enabled-sink overhead ceiling (default 0 = off)",
+              max_enabled_overhead_pct, Bound::non_negative())
+      .text("--out", "FILE", "JSON output (default BENCH_obs.json)", out_path)
+      .action("--quick", "32 samples, 3 reps", [&] {
+        samples = 32;
+        reps = 3;
+      });
+  try {
+    flags.parse(std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const UsageError& e) {
+    std::cerr << "perf_obs: " << e.what() << "\nusage: perf_obs [options]\n";
+    std::vector<Flags::HelpLine> lines;
+    flags.help(lines, 32);
+    for (const Flags::HelpLine& line : lines) std::cerr << line.text << "\n";
+    return 2;
   }
 
   std::cout << "perf_obs: generating " << samples << " fig2-sized graphs...\n";
