@@ -33,7 +33,16 @@ Time slice_rel_deadline(Time v, double ratio, SlackShare share) noexcept {
   return std::max(d, 0.0);
 }
 
-void SliceMetric::prepare(const TaskGraph& graph) { (void)graph; }
+void SliceMetric::prepare(const TaskGraph& graph, std::span<const NodeId> order) {
+  (void)graph;
+  (void)order;
+}
+
+void SliceMetric::prepare(const TaskGraph& graph) {
+  const auto order = topological_order(graph);
+  FEAST_REQUIRE_MSG(order.has_value(), "a metric is prepared on an acyclic graph");
+  prepare(graph, *order);
+}
 
 Time NormMetric::virtual_cost(const TaskGraph& graph, NodeId id,
                               Time effective_cost) const {
@@ -60,7 +69,8 @@ std::string ThresMetric::name() const {
          ",th=" + format_compact(threshold_factor_, 3) + "MET)";
 }
 
-void ThresMetric::prepare(const TaskGraph& graph) {
+void ThresMetric::prepare(const TaskGraph& graph, std::span<const NodeId> order) {
+  (void)order;
   threshold_ = threshold_factor_ * graph.mean_exec_time();
 }
 
@@ -84,9 +94,9 @@ std::string AdaptMetric::name() const {
          ",th=" + format_compact(threshold_factor_, 3) + "MET)";
 }
 
-void AdaptMetric::prepare(const TaskGraph& graph) {
+void AdaptMetric::prepare(const TaskGraph& graph, std::span<const NodeId> order) {
   threshold_ = threshold_factor_ * graph.mean_exec_time();
-  surplus_ = average_parallelism(graph) / static_cast<double>(n_procs_);
+  surplus_ = average_parallelism(graph, order) / static_cast<double>(n_procs_);
 }
 
 Time AdaptMetric::virtual_cost(const TaskGraph& graph, NodeId id,

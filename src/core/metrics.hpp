@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "taskgraph/task_graph.hpp"
@@ -64,9 +65,14 @@ class SliceMetric {
   /// Identifier including parameters, e.g. "THRES(d=1,th=1.25MET)".
   virtual std::string name() const = 0;
 
-  /// Called once per distribution with the full graph; computes
-  /// graph-dependent parameters (thresholds, parallelism).
-  virtual void prepare(const TaskGraph& graph);
+  /// Called once per distribution with the full graph and its topological
+  /// order (ValidationReport::order); computes graph-dependent parameters
+  /// (thresholds, parallelism).
+  virtual void prepare(const TaskGraph& graph, std::span<const NodeId> order);
+
+  /// prepare() for a caller without the order at hand: sorts the graph
+  /// first.  Precondition: acyclic.
+  void prepare(const TaskGraph& graph);
 
   /// Virtual cost v_i of a node given its effective (real or estimated)
   /// cost.  Must be >= effective_cost and 0 when effective_cost is 0.
@@ -101,7 +107,8 @@ class ThresMetric final : public SliceMetric {
   ThresMetric(double surplus, double threshold_factor = 1.25);
 
   std::string name() const override;
-  void prepare(const TaskGraph& graph) override;
+  using SliceMetric::prepare;
+  void prepare(const TaskGraph& graph, std::span<const NodeId> order) override;
   Time virtual_cost(const TaskGraph& graph, NodeId id, Time effective_cost) const override;
   SlackShare share() const noexcept override { return SlackShare::PerEffectiveHop; }
 
@@ -120,7 +127,8 @@ class AdaptMetric final : public SliceMetric {
   AdaptMetric(int n_procs, double threshold_factor = 1.25);
 
   std::string name() const override;
-  void prepare(const TaskGraph& graph) override;
+  using SliceMetric::prepare;
+  void prepare(const TaskGraph& graph, std::span<const NodeId> order) override;
   Time virtual_cost(const TaskGraph& graph, NodeId id, Time effective_cost) const override;
   SlackShare share() const noexcept override { return SlackShare::PerEffectiveHop; }
 

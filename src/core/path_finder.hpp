@@ -23,12 +23,15 @@
 /// unassigned node all of whose successors are assigned (its deadline upper
 /// bound ub is known).  The available window of a path is ub(sink) −
 /// lb(source).  Sources whose lb agree (time_eq) share one DP sweep, an
-/// *lb group*; groups are swept in first-appearance order.
+/// *lb group*; groups are formed in first-appearance order, and the answer
+/// is the first group's best candidate that reaches the minimum R.
 ///
 /// Two implementations return the same path, window and ratio, bit for
-/// bit: CriticalPathFinder (sparse, incremental; the one the distributor
-/// runs) and CriticalPathFinderRef (the retained dense sweep it is
-/// differentially tested against, see core/diffdist.hpp).
+/// bit: CriticalPathFinder (sparse and incremental: a group whose sources,
+/// cone and sinks did not change since the previous find() keeps its
+/// answer; the one the distributor runs) and CriticalPathFinderRef (the
+/// retained dense sweep it is differentially tested against, see
+/// core/diffdist.hpp).
 #pragma once
 
 #include <cstdint>
@@ -43,12 +46,12 @@ namespace feast {
 
 /// Mutable bookkeeping of the slicing loop, shared with the path finder.
 struct ResidualState {
-  std::vector<bool> assigned;  ///< Node already carries a window.
+  std::vector<std::uint8_t> assigned;  ///< Nonzero: the node already carries a window.
   std::vector<Time> lb;        ///< Release lower bound (kUnsetTime = unknown).
   std::vector<Time> ub;        ///< Deadline upper bound (kUnsetTime = unknown).
 
   explicit ResidualState(std::size_t node_count)
-      : assigned(node_count, false),
+      : assigned(node_count, 0),
         lb(node_count, kUnsetTime),
         ub(node_count, kUnsetTime) {}
 };
@@ -65,8 +68,8 @@ struct CriticalPathResult {
 /// Machine-independent work counters of a finder, accumulated over every
 /// find() since construction (published as dist.* obs counters).
 struct FinderStats {
-  std::uint64_t lb_groups = 0;  ///< lb groups swept (identical in both finders).
-  std::uint64_t dp_cells = 0;   ///< DP cells initialized before use.
+  std::uint64_t lb_groups = 0;  ///< lb groups formed (identical in both finders).
+  std::uint64_t dp_cells = 0;   ///< DP cells initialized by the sweeps run.
 };
 
 /// What both finders share: per-node effective and virtual costs, the
@@ -106,24 +109,34 @@ class PathFinderBase {
 /// The search is sparse and incremental:
 ///  - the residual frontier (unassigned-predecessor and -successor counts,
 ///    the source set by topological position) is updated only for nodes
-///    whose assigned flag changed since the previous find();
+///    whose assigned flag changed since the previous find(), found by
+///    comparing the flags a word at a time with a mirror;
 ///  - each lb group sweeps only the cone reachable from its sources, in
 ///    topological order, and each DP row keeps a live hop range [lo, hi]
 ///    whose cells are filled with −∞ lazily as the range grows;
 ///  - rows are packed into one flat table, each only as wide as the most
 ///    effective nodes on any graph path ending at its node;
-///  - sinks are scored as the sweep reaches them, and a group that takes
-///    the lead has its path read off its parent rows at once, so no group
-///    is ever swept twice.
-/// The DP tables live in a thread-local scratch reused across finders.
+///  - sinks are scored as the sweep reaches them, and each swept group's
+///    best path is read off its parent rows at once;
+///  - each group's answer is kept (a memo: lb, sources, cone, scored sinks
+///    with their ub, best candidate) and reused by the next find() when
+///    its lb bits and sources are the same, no node of its cone was
+///    assigned, every scored sink keeps its ub bits and no node at all was
+///    unassigned.  Then its sweep would repeat itself exactly.
+/// The DP tables and the memos live in a thread-local scratch reused
+/// across finders; a find() by another finder drops the memos.
 class CriticalPathFinder : public PathFinderBase {
  public:
   CriticalPathFinder(const TaskGraph& graph, std::vector<NodeId> order,
                      const SliceMetric& metric, const CommCostEstimator& estimator);
+  // A copy would share the memos' owner tag but not the frontier.
+  CriticalPathFinder(const CriticalPathFinder&) = delete;
+  CriticalPathFinder& operator=(const CriticalPathFinder&) = delete;
 
   /// Finds the minimum-R maximal path of the residual graph, or nullopt
   /// when no unassigned node remains.  Deterministic: ties are broken
-  /// toward the first candidate in topological order.
+  /// toward the first candidate in topological order.  Exact for any
+  /// sequence of states, not only the distributor's.
   std::optional<CriticalPathResult> find(const ResidualState& state);
 
  private:
@@ -144,12 +157,18 @@ class CriticalPathFinder : public PathFinderBase {
   std::uint32_t row_cells_ = 0;          ///< Cells of all rows.
 
   // Residual frontier, kept incrementally across find() calls.
-  std::vector<std::uint8_t> assigned_;     ///< Mirror of state.assigned.
+  std::vector<std::uint8_t> seen_;         ///< state.assigned as last synced, by node index.
+  std::vector<std::uint8_t> assigned_;     ///< 1 when assigned, by position.
   std::vector<std::uint32_t> open_preds_;  ///< Unassigned predecessors.
   std::vector<std::uint32_t> open_succs_;  ///< Unassigned successors.
   std::vector<std::uint64_t> sources_;     ///< Residual-source bitset.
   std::size_t residual_count_ = 0;
   std::size_t effective_count_ = 0;  ///< Residual nodes with step 1.
+
+  // What changed since the previous find(), for the group memos.
+  std::vector<std::uint64_t> assigned_since_;  ///< Positions assigned, as a bitset.
+  bool unassigned_since_ = false;              ///< Any node unassigned.
+  std::uint64_t serial_;                       ///< Tags this finder's memos.
 };
 
 /// The retained reference search: per find(), every lb group resets and

@@ -16,7 +16,7 @@ DeadlineAssignment slice(const TaskGraph& graph, SliceMetric& metric,
                          const CommCostEstimator& estimator, SlicingOptions options) {
   ValidationReport report = validate_for_distribution(graph);
   require_valid(report);
-  metric.prepare(graph);
+  metric.prepare(graph, report.order);
   Finder finder(graph, std::move(report.order), metric, estimator);
 
   ResidualState state(graph.node_count());

@@ -1,8 +1,9 @@
 #include "taskgraph/algorithms.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
-#include <queue>
 
 namespace feast {
 
@@ -13,23 +14,29 @@ Time computation_cost(const TaskGraph& graph, NodeId id) {
 
 std::optional<std::vector<NodeId>> topological_order(const TaskGraph& graph) {
   const std::size_t n = graph.node_count();
-  std::vector<std::size_t> indegree(n, 0);
+  std::vector<std::uint32_t> indegree(n);
+  // Ready nodes as a bitset by id: taking the lowest set bit gives the
+  // smallest ready id, the tie-break a min-heap would give.
+  std::vector<std::uint64_t> ready((n + 63) / 64, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    indegree[i] = graph.preds(NodeId(static_cast<std::uint32_t>(i))).size();
-  }
-  // Min-heap on node id for deterministic output.
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push(static_cast<std::uint32_t>(i));
+    const NodeId id(static_cast<std::uint32_t>(i));
+    indegree[i] = static_cast<std::uint32_t>(graph.preds(id).size());
+    if (indegree[i] == 0) ready[i / 64] |= std::uint64_t{1} << (i % 64);
   }
   std::vector<NodeId> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    const NodeId id(ready.top());
-    ready.pop();
-    order.push_back(id);
-    for (const NodeId succ : graph.succs(id)) {
-      if (--indegree[succ.index()] == 0) ready.push(succ.value);
+  std::size_t low = 0;  // no ready bit below word `low`
+  while (true) {
+    while (low < ready.size() && ready[low] == 0) ++low;
+    if (low == ready.size()) break;
+    const auto id = static_cast<std::uint32_t>(low * 64 + std::countr_zero(ready[low]));
+    ready[low] &= ready[low] - 1;
+    order.emplace_back(id);
+    for (const NodeId succ : graph.succs(NodeId(id))) {
+      if (--indegree[succ.index()] == 0) {
+        ready[succ.index() / 64] |= std::uint64_t{1} << (succ.index() % 64);
+        low = std::min(low, succ.index() / 64);
+      }
     }
   }
   if (order.size() != n) return std::nullopt;
@@ -119,9 +126,26 @@ std::vector<NodeId> longest_path(const TaskGraph& graph, const NodeCostFn& cost)
 }
 
 double average_parallelism(const TaskGraph& graph) {
+  const auto order = topological_order(graph);
+  FEAST_REQUIRE_MSG(order.has_value(), "parallelism requires an acyclic graph");
+  return average_parallelism(graph, *order);
+}
+
+double average_parallelism(const TaskGraph& graph, std::span<const NodeId> order) {
+  FEAST_REQUIRE(order.size() == graph.node_count());
   const Time workload = graph.total_workload();
   if (workload <= 0.0) return 1.0;
-  const Time cp = longest_path_length(graph, computation_cost);
+  // Longest path in execution time: the max over nodes of the cost of the
+  // heaviest path ending there (costs are non-negative, so max with 0 is
+  // the max over predecessors).
+  std::vector<Time> cost_to(graph.node_count(), 0.0);
+  Time cp = 0.0;
+  for (const NodeId id : order) {
+    Time best = 0.0;
+    for (const NodeId pred : graph.preds(id)) best = std::max(best, cost_to[pred.index()]);
+    cost_to[id.index()] = best + computation_cost(graph, id);
+    cp = std::max(cp, cost_to[id.index()]);
+  }
   if (cp <= 0.0) return 1.0;
   return workload / cp;
 }

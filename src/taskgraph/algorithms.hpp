@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "taskgraph/task_graph.hpp"
@@ -53,8 +54,12 @@ std::vector<NodeId> longest_path(const TaskGraph& graph, const NodeCostFn& cost)
 
 /// The paper's average task-graph parallelism ξ: total workload divided by
 /// the length, in execution time, of the longest path.  Returns 1 for an
-/// empty or zero-workload graph.
+/// empty or zero-workload graph.  Precondition: acyclic.
 double average_parallelism(const TaskGraph& graph);
+
+/// average_parallelism over a topological order of the graph the caller
+/// already holds (ValidationReport::order): one pass, no sort.
+double average_parallelism(const TaskGraph& graph, std::span<const NodeId> order);
 
 /// True when \p to is reachable from \p from following arcs forward.
 bool reachable(const TaskGraph& graph, NodeId from, NodeId to);

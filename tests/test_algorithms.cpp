@@ -1,8 +1,15 @@
 /// \file test_algorithms.cpp
 /// \brief Unit tests for graph algorithms: topological order, levels,
-///        depth, longest paths, parallelism, reachability, path counting.
+///        depth, longest paths, parallelism, reachability, path counting;
+///        and a property test of topological_order against a min-heap Kahn
+///        sort.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+
+#include "check/gen.hpp"
+#include "check/prop.hpp"
 #include "taskgraph/algorithms.hpp"
 #include "taskgraph/task_graph.hpp"
 
@@ -166,6 +173,60 @@ TEST(Algorithms, EnumerateRespectsLimit) {
   DiamondFixture f;
   const auto paths = enumerate_source_sink_paths(f.g, 1);
   EXPECT_EQ(paths.size(), 1u);
+}
+
+/// Kahn's algorithm with a min-heap ready set: the smallest ready id goes
+/// first, or nullopt on a cycle.
+std::optional<std::vector<NodeId>> heap_kahn(const TaskGraph& graph) {
+  std::vector<std::size_t> indegree(graph.node_count());
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
+  for (const NodeId id : graph.all_nodes()) {
+    indegree[id.index()] = graph.preds(id).size();
+    if (indegree[id.index()] == 0) ready.push(id.value);
+  }
+  std::vector<NodeId> order;
+  while (!ready.empty()) {
+    const NodeId id(ready.top());
+    ready.pop();
+    order.push_back(id);
+    for (const NodeId succ : graph.succs(id)) {
+      if (--indegree[succ.index()] == 0) ready.push(succ.value);
+    }
+  }
+  if (order.size() != graph.node_count()) return std::nullopt;
+  return order;
+}
+
+TEST(PropTopologicalOrder, MatchesAMinHeapKahnSort) {
+  // check::gen graphs and, every fourth case, a paper-sized generator
+  // graph (over 64 nodes, so the ready set spans several words); half of
+  // them get one to three extra arcs between random subtasks, which close
+  // a cycle whenever the target already reaches the source.
+  int cyclic = 0;
+  const int cases = 400 * check::prop_case_multiplier();
+  for (int c = 0; c < cases; ++c) {
+    Pcg32 rng(seed_for(0x7090, {static_cast<std::uint64_t>(c)}));
+    TaskGraph g = c % 4 == 0 ? generate_random_graph({}, rng) : check::gen_graph(rng);
+    const std::vector<NodeId> subtasks = g.computation_nodes();
+    if (rng.bernoulli(0.5)) {
+      for (int k = rng.uniform_int(1, 3); k > 0; --k) {
+        const NodeId from = rng.pick(subtasks);
+        const NodeId to = rng.pick(subtasks);
+        bool present = from == to;
+        for (const NodeId comm : g.succs(from)) present = present || g.comm_sink(comm) == to;
+        if (!present) g.add_precedence(from, to, 1.0);
+      }
+    }
+    const auto want = heap_kahn(g);
+    const auto got = topological_order(g);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "case " << c;
+    if (want) {
+      EXPECT_EQ(*got, *want) << "case " << c;
+    } else {
+      ++cyclic;
+    }
+  }
+  EXPECT_GT(cyclic, cases / 10);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 ///        CriticalPathFinderRef.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/comm_estimator.hpp"
 #include "core/metrics.hpp"
@@ -407,6 +409,137 @@ TEST(PathFinder, InterleavedFindersShareTheThreadScratch) {
     EXPECT_EQ(sf->ratio, sr->ratio);
     EXPECT_EQ(bf->nodes.size(), big.node_count());
   }
+}
+
+/// Expects \p got to be what a freshly built reference finder returns for
+/// \p state.
+void expect_fresh_answer(const TaskGraph& g, const SliceMetric& metric,
+                         const CommCostEstimator& estimator, const ResidualState& state,
+                         const std::optional<CriticalPathResult>& got) {
+  CriticalPathFinderRef fresh(g, validate_structure(g).order, metric, estimator);
+  const auto want = fresh.find(state);
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want) return;
+  EXPECT_EQ(got->nodes, want->nodes);
+  EXPECT_EQ(got->ratio, want->ratio);
+  EXPECT_EQ(got->window_start, want->window_start);
+  EXPECT_EQ(got->window_end, want->window_end);
+}
+
+TEST(PathFinder, SinkUbEditWithoutAFlipChangesTheAnswer) {
+  // a -> b and a -> c: one lb group, two sinks.  Only c's ub moves between
+  // the two finds; no node is assigned or unassigned.
+  TaskGraph g;
+  const NodeId a = g.add_subtask("a", 10.0);
+  const NodeId b = g.add_subtask("b", 10.0);
+  const NodeId c = g.add_subtask("c", 50.0);
+  g.add_precedence(a, b, 0.0);
+  g.add_precedence(a, c, 0.0);
+  g.set_boundary_release(a, 0.0);
+  g.set_boundary_deadline(b, 100.0);
+  g.set_boundary_deadline(c, 100.0);
+
+  PureMetric metric;
+  metric.prepare(g);
+  CcneEstimator ccne;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, validate_structure(g).order, metric, ccne);
+    ResidualState state(g.node_count());
+    state.lb[a.index()] = 0.0;
+    state.ub[b.index()] = 100.0;
+    state.ub[c.index()] = 100.0;
+
+    const auto heavy = finder.find(state);
+    ASSERT_TRUE(heavy.has_value());
+    EXPECT_EQ(heavy->nodes.back(), c);  // R = (100 - 60) / 2 = 20
+    expect_fresh_answer(g, metric, ccne, state, heavy);
+
+    state.ub[c.index()] = 1000.0;  // R via c: 470; via b: 40
+    const auto light = finder.find(state);
+    ASSERT_TRUE(light.has_value());
+    EXPECT_EQ(light->nodes.back(), b);
+    EXPECT_NEAR(light->ratio, 40.0, 1e-9);
+    expect_fresh_answer(g, metric, ccne, state, light);
+  });
+}
+
+TEST(PathFinder, UnassignGrowsTheConeOfAnUnchangedGroup) {
+  // Chain a -> b.  With b (and the message) assigned, a alone is the
+  // residual graph.  Unassigning them keeps a's group (same source, same lb)
+  // and flips no node of its old cone, yet the cone grows to a -> b: the
+  // first answer must not be reused.
+  TaskGraph g;
+  const NodeId a = g.add_subtask("a", 10.0);
+  const NodeId b = g.add_subtask("b", 10.0);
+  const NodeId msg = g.add_precedence(a, b, 0.0);
+  g.set_boundary_release(a, 0.0);
+  g.set_boundary_deadline(b, 100.0);
+
+  PureMetric metric;
+  metric.prepare(g);
+  CcneEstimator ccne;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, validate_structure(g).order, metric, ccne);
+    ResidualState state(g.node_count());
+    for (const NodeId id : g.all_nodes()) {
+      state.lb[id.index()] = 0.0;
+      state.ub[id.index()] = 100.0;
+    }
+    state.assigned[msg.index()] = true;
+    state.assigned[b.index()] = true;
+    const auto alone = finder.find(state);
+    ASSERT_TRUE(alone.has_value());
+    EXPECT_EQ(alone->nodes, std::vector<NodeId>{a});
+    EXPECT_NEAR(alone->ratio, 90.0, 1e-9);
+
+    state.assigned[msg.index()] = false;
+    state.assigned[b.index()] = false;
+    const auto chain = finder.find(state);
+    ASSERT_TRUE(chain.has_value());
+    EXPECT_EQ(chain->nodes, (std::vector<NodeId>{a, msg, b}));
+    EXPECT_NEAR(chain->ratio, 40.0, 1e-9);
+    expect_fresh_answer(g, metric, ccne, state, chain);
+  });
+}
+
+TEST(PathFinder, MiddleSourceBelongsToTwoLbGroups) {
+  // Sources a, b, c with lbs 0, 0.9e-9 and 1.8e-9: time_eq makes groups
+  // {a, b} (lb 0) and {b, c} (lb 1.8e-9), so b is swept in both.  Its heavy
+  // path wins in the second group, whose window is 1.8e-9 shorter.
+  TaskGraph g;
+  const NodeId a = g.add_subtask("a", 10.0);
+  const NodeId b = g.add_subtask("b", 30.0);
+  const NodeId c = g.add_subtask("c", 10.0);
+  const NodeId z = g.add_subtask("z", 10.0);
+  g.add_precedence(a, z, 0.0);
+  g.add_precedence(b, z, 0.0);
+  g.add_precedence(c, z, 0.0);
+  g.set_boundary_release(a, 0.0);
+  g.set_boundary_release(b, 0.9e-9);
+  g.set_boundary_release(c, 1.8e-9);
+  g.set_boundary_deadline(z, 100.0);
+
+  PureMetric metric;
+  metric.prepare(g);
+  CcneEstimator ccne;
+  on_both_finders([&]<class Finder>() {
+    Finder finder(g, validate_structure(g).order, metric, ccne);
+    ResidualState state(g.node_count());
+    state.lb[a.index()] = 0.0;
+    state.lb[b.index()] = 0.9e-9;
+    state.lb[c.index()] = 1.8e-9;
+    state.ub[z.index()] = 100.0;
+
+    for (int round = 0; round < 2; ++round) {
+      const auto result = finder.find(state);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(finder.stats().lb_groups, 2u * (round + 1));
+      EXPECT_EQ(result->nodes.front(), b);
+      EXPECT_EQ(result->nodes.back(), z);
+      EXPECT_EQ(result->window_start, 1.8e-9);
+      expect_fresh_answer(g, metric, ccne, state, result);
+    }
+  });
 }
 
 }  // namespace
