@@ -50,7 +50,7 @@ std::vector<Candidate> enumerate_paths(const TaskGraph& graph,
                                        const ResidualState& state, SlackShare share) {
   std::vector<Candidate> out;
   std::vector<NodeId> stack;
-  auto residual = [&](NodeId id) { return !state.assigned[id.index()]; };
+  auto residual = [&](NodeId id) { return !state.assigned(id); };
   auto dfs = [&](auto&& self, NodeId id, Time sum, int hops) -> void {
     stack.push_back(id);
     bool sink = true;
@@ -63,7 +63,7 @@ std::vector<Candidate> enumerate_paths(const TaskGraph& graph,
     if (sink) {
       Candidate c;
       c.nodes = stack;
-      c.eval.window = state.ub[id.index()] - state.lb[stack.front().index()];
+      c.eval.window = state.ub(id) - state.lb(stack.front());
       c.eval.sum_virtual = sum;
       c.eval.effective_hops = hops;
       c.ratio = slice_ratio(c.eval, share);
@@ -100,10 +100,10 @@ std::optional<std::string> check_exact(const TaskGraph& graph, SliceMetric& metr
 
   ResidualState state(graph.node_count());
   for (const NodeId id : graph.inputs()) {
-    state.lb[id.index()] = graph.node(id).boundary_release;
+    state.set_lb(id, graph.node(id).boundary_release);
   }
   for (const NodeId id : graph.outputs()) {
-    state.ub[id.index()] = graph.node(id).boundary_deadline;
+    state.set_ub(id, graph.node(id).boundary_deadline);
   }
 
   for (const SlicedPath& sliced : assignment.paths()) {
@@ -149,19 +149,13 @@ std::optional<std::string> check_exact(const TaskGraph& graph, SliceMetric& metr
     }
 
     // Attach the slice exactly as the distributor does.
-    for (const NodeId id : sliced.nodes) state.assigned[id.index()] = true;
+    for (const NodeId id : sliced.nodes) state.assign(id);
     for (const NodeId id : sliced.nodes) {
       for (const NodeId succ : graph.succs(id)) {
-        if (state.assigned[succ.index()]) continue;
-        Time& lb = state.lb[succ.index()];
-        const Time deadline = assignment.abs_deadline(id);
-        lb = is_set(lb) ? std::max(lb, deadline) : deadline;
+        if (!state.assigned(succ)) state.raise_lb(succ, assignment.abs_deadline(id));
       }
       for (const NodeId pred : graph.preds(id)) {
-        if (state.assigned[pred.index()]) continue;
-        Time& ub = state.ub[pred.index()];
-        const Time release = assignment.release(id);
-        ub = is_set(ub) ? std::min(ub, release) : release;
+        if (!state.assigned(pred)) state.lower_ub(pred, assignment.release(id));
       }
     }
   }
@@ -225,8 +219,8 @@ TEST(PropExactness, NormInvertedWindowIsOutsideTheClaim) {
   g.set_boundary_release(s, 0.0);
   g.set_boundary_deadline(t, 100.0);
   ResidualState state(g.node_count());
-  state.lb[s.index()] = 50.0;
-  state.ub[t.index()] = 40.0;
+  state.set_lb(s, 50.0);
+  state.set_ub(t, 40.0);
 
   NormMetric metric;
   metric.prepare(g);
@@ -275,8 +269,8 @@ TEST(PropExactness, EnumeratorSeesEveryMaximalPath) {
   CcaaEstimator ccaa;
   CriticalPathFinder finder(g, validate_structure(g).order, metric, ccaa);
   ResidualState state(g.node_count());
-  state.lb[a.index()] = 0.0;
-  state.ub[d.index()] = 100.0;
+  state.set_lb(a, 0.0);
+  state.set_ub(d, 100.0);
   const auto paths = enumerate_paths(g, finder, state, SlackShare::PerEffectiveHop);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].nodes.size(), 5u);

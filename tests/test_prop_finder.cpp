@@ -88,13 +88,12 @@ std::optional<std::string> check_sequence(const TaskGraph& graph, SliceMetric& m
   CriticalPathFinder fast(graph, order, metric, estimator);
   CriticalPathFinderRef kept(graph, order, metric, estimator);
 
-  const std::size_t n = graph.node_count();
-  ResidualState state(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    state.lb[i] = rng.pick(kLbPool);
-    state.ub[i] = rng.pick(kUbPool);
+  ResidualState state(graph.node_count());
+  for (const NodeId id : graph.all_nodes()) {
+    state.set_lb(id, rng.pick(kLbPool));
+    state.set_ub(id, rng.pick(kUbPool));
   }
-  auto residual = [&](NodeId id) { return state.assigned[id.index()] == 0; };
+  auto residual = [&](NodeId id) { return !state.assigned(id); };
   auto pick_where = [&](auto&& keep) -> std::optional<NodeId> {
     std::vector<NodeId> ids;
     for (const NodeId id : graph.all_nodes()) {
@@ -125,36 +124,36 @@ std::optional<std::string> check_sequence(const TaskGraph& graph, SliceMetric& m
       case 0:
         edit = "assign nodes";
         for (int k = rng.uniform_int(1, 3); k > 0; --k) {
-          if (const auto id = pick_where(residual)) state.assigned[id->index()] = 1;
+          if (const auto id = pick_where(residual)) state.assign(*id);
         }
         break;
       case 1:
         edit = "assign the last path";
         if (last) {
-          for (const NodeId id : last->nodes) state.assigned[id.index()] = 1;
+          for (const NodeId id : last->nodes) state.assign(id);
         }
         break;
       case 2:
         edit = "unassign nodes";
         for (int k = rng.uniform_int(1, 2); k > 0; --k) {
           if (const auto id = pick_where([&](NodeId v) { return !residual(v); })) {
-            state.assigned[id->index()] = 0;
+            state.unassign(*id);
           }
         }
         break;
       case 3:
         edit = "edit a source's lb";
-        if (const auto id = pick_where(is_source)) state.lb[id->index()] = rng.pick(kLbPool);
+        if (const auto id = pick_where(is_source)) state.set_lb(*id, rng.pick(kLbPool));
         break;
       case 4:
         edit = "edit a sink's ub";
-        if (const auto id = pick_where(is_sink)) state.ub[id->index()] = rng.pick(kUbPool);
+        if (const auto id = pick_where(is_sink)) state.set_ub(*id, rng.pick(kUbPool));
         break;
       case 5:
         edit = "edit any node's bounds";
         if (const auto id = pick_where([](NodeId) { return true; })) {
-          state.lb[id->index()] = rng.pick(kLbPool);
-          state.ub[id->index()] = rng.pick(kUbPool);
+          state.set_lb(*id, rng.pick(kLbPool));
+          state.set_ub(*id, rng.pick(kUbPool));
         }
         break;
       default:
