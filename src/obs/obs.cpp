@@ -64,6 +64,7 @@ const char* to_string(Counter counter) noexcept {
     case Counter::DistIterations: return "dist.iterations";
     case Counter::DistLbGroups: return "dist.lb_groups";
     case Counter::DistDpCells: return "dist.dp_cells";
+    case Counter::DistRegroups: return "dist.regroups";
   }
   return "?";
 }

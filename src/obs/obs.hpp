@@ -94,8 +94,9 @@ enum class Counter : std::uint8_t {
   DistIterations,  ///< Slicing: critical paths sliced (one per iteration).
   DistLbGroups,    ///< Slicing: lb-group DP sweeps in the critical-path search.
   DistDpCells,     ///< Slicing: DP cells the critical-path search initialized.
+  DistRegroups,    ///< Slicing: searches that formed their lb groups from scratch.
 };
-inline constexpr std::size_t kCounterCount = 31;
+inline constexpr std::size_t kCounterCount = 32;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;

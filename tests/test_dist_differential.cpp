@@ -125,6 +125,7 @@ struct DistTotals {
   std::uint64_t iterations = 0;
   std::uint64_t lb_groups = 0;
   std::uint64_t dp_cells = 0;
+  std::uint64_t regroups = 0;
 };
 
 DistTotals count_distributions(const std::vector<TaskGraph>& graphs, bool ref) {
@@ -148,7 +149,8 @@ DistTotals count_distributions(const std::vector<TaskGraph>& graphs, bool ref) {
   const obs::Report report = sink.report();
   return {report.counter_value(obs::Counter::DistIterations),
           report.counter_value(obs::Counter::DistLbGroups),
-          report.counter_value(obs::Counter::DistDpCells)};
+          report.counter_value(obs::Counter::DistDpCells),
+          report.counter_value(obs::Counter::DistRegroups)};
 }
 
 TEST(DistCounters, ExactTotalsOnAFixedSeed) {
@@ -171,6 +173,11 @@ TEST(DistCounters, ExactTotalsOnAFixedSeed) {
   // Measured: 21207 sparse cells against 17618317 dense ones.
   EXPECT_LT(fast.dp_cells * 100, ref.dp_cells)
       << "sparse " << fast.dp_cells << " vs dense " << ref.dp_cells;
+  // dist.regroups: 16 distributions each form their groups from scratch on
+  // their first find(), and 6 finds fall back to it.  The reference does
+  // on every find(): one per iteration and the last, empty one.
+  EXPECT_EQ(fast.regroups, 22u);
+  EXPECT_EQ(ref.regroups, ref.iterations + 16);
 }
 
 }  // namespace
