@@ -9,14 +9,17 @@
 /// configurations: no plan, an installed plan with no rule for the site,
 /// and an installed plan armed at an occurrence that never arrives.  Gate
 /// with --max-ns to fail the build when a "cheap" refactor makes the
-/// disabled path take real time.
+/// disabled path take real time; a malformed --max-ns exits 2 with the
+/// usage rather than turning the gate off.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "check/fault.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -43,14 +46,17 @@ double time_fire_ns() {
 
 int main(int argc, char** argv) {
   double max_ns = 0.0;  // 0: report only.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-ns" && i + 1 < argc) {
-      max_ns = std::atof(argv[++i]);
-    } else {
-      std::cerr << "usage: perf_faults [--max-ns N]\n";
-      return 2;
-    }
+  Flags flags;
+  flags.number("--max-ns", "N", "fail when a disabled fire() costs more (default 0 = off)",
+               max_ns, Bound::non_negative());
+  try {
+    flags.parse(std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const UsageError& e) {
+    std::cerr << "perf_faults: " << e.what() << "\nusage: perf_faults [options]\n";
+    std::vector<Flags::HelpLine> lines;
+    flags.help(lines, 24);
+    for (const Flags::HelpLine& line : lines) std::cerr << line.text << "\n";
+    return 2;
   }
 
   const double disabled_ns = time_fire_ns();
