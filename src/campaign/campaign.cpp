@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "campaign/cache.hpp"
-#include "campaign/pool.hpp"
 #include "check/fault.hpp"
 #include "exact/gap.hpp"
 #include "util/csv.hpp"
@@ -719,14 +718,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
   // layers that know about RunContext.
   check::ScopedFaultPlan scoped_faults(spec.context.faults);
 
-  if (options.threads > 0) {
-    set_parallelism(options.threads);
-    // set_parallelism only feeds parallel_for's lazy resize, but the cells
-    // below are submitted straight to the global pool — resize it here (the
-    // main thread is not a pool worker) so --threads actually bounds the
-    // campaign's concurrency.
-    WorkStealingPool::global().resize(options.threads);
-  }
+  if (options.threads > 0) set_parallelism(options.threads);
 
   const auto start = std::chrono::steady_clock::now();
   refresh_campaign_totals(result, 0.0);
@@ -740,7 +732,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
   std::condition_variable done_cv;
   std::deque<std::pair<std::size_t, CellOutcome>> done_queue;
 
-  WorkStealingPool& pool = WorkStealingPool::global();
+  ThreadPool& pool = ThreadPool::global();
   std::size_t submitted = 0;
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     if (result.cells[i].state != CellState::Pending) continue;

@@ -3,7 +3,7 @@
 ///
 /// A campaign is a declarative grid of experiment cells — strategies ×
 /// system sizes over one workload and batch configuration — executed through
-/// the persistent work-stealing pool with content-addressed cache lookups.
+/// the process-wide thread pool with content-addressed cache lookups.
 /// Progress is checkpointed after every cell into a JSON manifest (written
 /// atomically), so an interrupted campaign resumes where it stopped: cells
 /// recorded as finished are restored from the manifest, cells present in the
@@ -130,7 +130,7 @@ struct CampaignOptions {
   std::ostream* progress = nullptr;  ///< Per-cell progress lines when set.
 };
 
-/// Executes the campaign: cells are submitted to the work-stealing pool,
+/// Executes the campaign: cells are submitted to the global thread pool,
 /// consult the cache first, and checkpoint the manifest after every
 /// completed cell.  A failing cell is recorded (state Failed) without
 /// aborting the rest.  Throws std::invalid_argument for malformed specs.

@@ -133,24 +133,10 @@ DeadlineAssignment slice(const TaskGraph& graph, SliceMetric& metric,
 
 }  // namespace
 
-DeadlineDistributor::DeadlineDistributor(SliceMetric& metric,
-                                         const CommCostEstimator& estimator,
-                                         SlicingOptions options)
-    : metric_(&metric), estimator_(&estimator), options_(options) {}
-
-std::string DeadlineDistributor::describe() const {
-  return metric_->name() + "+" + estimator_->name();
-}
-
-DeadlineAssignment DeadlineDistributor::distribute(const TaskGraph& graph) {
-  return slice<CriticalPathFinder>(graph, *metric_, *estimator_, options_);
-}
-
 DeadlineAssignment distribute_deadlines(const TaskGraph& graph, SliceMetric& metric,
                                         const CommCostEstimator& estimator,
                                         SlicingOptions options) {
-  DeadlineDistributor distributor(metric, estimator, options);
-  return distributor.distribute(graph);
+  return slice<CriticalPathFinder>(graph, metric, estimator, options);
 }
 
 DeadlineAssignment distribute_deadlines_ref(const TaskGraph& graph, SliceMetric& metric,

@@ -45,32 +45,13 @@ struct SlicingOptions {
   bool respect_interior_bounds = false;
 };
 
-/// Distributes end-to-end deadlines over the subtasks of a task graph.
-class DeadlineDistributor {
- public:
-  /// Both strategies are borrowed and must outlive the distributor.  The
-  /// metric is non-const because distribute() prepares it against each
-  /// graph (thresholds, parallelism).
-  DeadlineDistributor(SliceMetric& metric, const CommCostEstimator& estimator,
-                      SlicingOptions options = {});
-
-  /// Runs the algorithm.  Validates \p graph first, once
-  /// (validate_for_distribution; throws ContractViolation on a problem),
-  /// and searches in the validator's topological order.  Postcondition:
-  /// the result is complete() and every output subtask's absolute deadline
-  /// is at most its boundary deadline.
-  DeadlineAssignment distribute(const TaskGraph& graph);
-
-  /// Human-readable configuration, e.g. "PURE+CCNE".
-  std::string describe() const;
-
- private:
-  SliceMetric* metric_;
-  const CommCostEstimator* estimator_;
-  SlicingOptions options_;
-};
-
-/// Convenience wrapper: distribute \p graph with a freshly-prepared metric.
+/// Distributes the end-to-end deadlines of \p graph over its subtasks.  Both
+/// strategies are borrowed; the metric is non-const because it is prepared
+/// against \p graph (thresholds, parallelism).  Validates \p graph first,
+/// once (validate_for_distribution; throws ContractViolation on a problem),
+/// and searches in the validator's topological order.  Postcondition: the
+/// result is complete() and every output subtask's absolute deadline is at
+/// most its boundary deadline.
 DeadlineAssignment distribute_deadlines(const TaskGraph& graph, SliceMetric& metric,
                                         const CommCostEstimator& estimator,
                                         SlicingOptions options = {});

@@ -40,7 +40,6 @@ const char* to_string(Counter counter) noexcept {
     case Counter::ReadyPush: return "sched.ready_push";
     case Counter::BusGapProbe: return "sched.gap_probe";
     case Counter::BusReserve: return "sched.reserve";
-    case Counter::PoolSteal: return "pool.steal";
     case Counter::PoolSleep: return "pool.sleep";
     case Counter::SuperviseSpawn: return "supervise.spawn";
     case Counter::SuperviseRetry: return "supervise.retry";

@@ -50,7 +50,7 @@ enum class Span : std::uint8_t {
   CellRun,      ///< One experiment cell (a full batch of samples).
   CacheLookup,  ///< Cell-cache consult.
   CacheStore,   ///< Cell-cache store.
-  PoolTask,     ///< One work-stealing-pool task execution.
+  PoolTask,     ///< One thread-pool task execution.
   SuperviseAttempt,  ///< One worker-subprocess attempt (spawn → harvest).
   ServeRequest,      ///< Serve: one HTTP request, accept-parse → reply.
   ServeDispatch,     ///< Serve: one cell job, enqueue → terminal state.
@@ -69,7 +69,6 @@ enum class Counter : std::uint8_t {
   ReadyPush,    ///< Fast core: subtask entered the ready bitset.
   BusGapProbe,  ///< Fast core: bus/link/processor timeline gap query.
   BusReserve,   ///< Fast core: timeline reservation committed.
-  PoolSteal,    ///< Pool: task acquired from another worker's deque.
   PoolSleep,    ///< Pool: worker went idle (counted when it next starts a task).
   SuperviseSpawn,       ///< Supervisor: worker subprocess spawned.
   SuperviseRetry,       ///< Attempt ledger: failed attempt requeued (backoff).
@@ -96,7 +95,7 @@ enum class Counter : std::uint8_t {
   DistDpCells,     ///< Slicing: DP cells the critical-path search initialized.
   DistRegroups,    ///< Slicing: searches that formed their lb groups from scratch.
 };
-inline constexpr std::size_t kCounterCount = 32;
+inline constexpr std::size_t kCounterCount = 31;
 
 const char* to_string(Span span) noexcept;
 const char* to_string(Counter counter) noexcept;

@@ -1,5 +1,5 @@
 /// \file test_campaign.cpp
-/// \brief Tests for the campaign subsystem: the work-stealing pool, the
+/// \brief Tests for the campaign subsystem: the thread pool, the
 ///        content-addressed result cache, spec/manifest round-trips, and
 ///        campaign resume after a simulated interruption.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -17,7 +18,6 @@
 
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/pool.hpp"
 #include "experiment/sweep.hpp"
 #include "util/parallel.hpp"
 
@@ -59,8 +59,8 @@ CampaignSpec tiny_spec() {
 
 // --------------------------------------------------------------------- pool
 
-TEST(WorkStealingPool, RunsSubmittedTasks) {
-  WorkStealingPool pool(3);
+TEST(ThreadPool, RunsSubmittedTasks) {
+  ThreadPool pool(3);
   EXPECT_EQ(pool.worker_count(), 3u);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) pool.submit([&count] { count.fetch_add(1); });
@@ -70,14 +70,14 @@ TEST(WorkStealingPool, RunsSubmittedTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(WorkStealingPool, AsyncCapturesExceptions) {
-  WorkStealingPool pool(2);
+TEST(ThreadPool, AsyncCapturesExceptions) {
+  ThreadPool pool(2);
   auto future = pool.async([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(WorkStealingPool, ResizePreservesService) {
-  WorkStealingPool pool(2);
+TEST(ThreadPool, ResizePreservesService) {
+  ThreadPool pool(2);
   pool.resize(5);
   EXPECT_EQ(pool.worker_count(), 5u);
   pool.resize(1);
@@ -85,24 +85,42 @@ TEST(WorkStealingPool, ResizePreservesService) {
   EXPECT_EQ(pool.async([] { return 7; }).get(), 7);
 }
 
-TEST(WorkStealingPool, SingleSubmitAlwaysWakesAnIdleWorker) {
+TEST(ThreadPool, SingleSubmitAlwaysWakesAnIdleWorker) {
   // Regression: submit used to bump `pending` and notify without holding the
   // sleep mutex, so a notification could land between a worker's predicate
   // check and its block — the task then sat queued against a sleeping pool
   // and this .get() would hang.  One worker, one task at a time, many
   // rounds: each round finds the worker idle and going to sleep.
-  WorkStealingPool pool(1);
+  ThreadPool pool(1);
   for (int round = 0; round < 2000; ++round) {
     ASSERT_EQ(pool.async([round] { return round; }).get(), round);
   }
 }
 
-TEST(WorkStealingPool, ResizeRacingExternalSubmitsIsSafe) {
-  // Regression: resize reshapes the per-worker queue vector; external
-  // submitters index it concurrently.  Both sides now synchronize on the
-  // pool's structure lock, so this must neither crash nor lose tasks
-  // (queued work survives a resize by design).
-  WorkStealingPool pool(2);
+TEST(ThreadPool, StartsTasksInSubmissionOrder) {
+  // One worker, held by a gate task while the test thread queues the rest:
+  // the queue is FIFO, so they start in submission order.
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  pool.submit([opened] { opened.wait(); });
+  constexpr int kTasks = 16;
+  std::vector<int> order;  // Written by the one worker only.
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < kTasks; ++i) {
+    done.push_back(pool.async([&order, i] { order.push_back(i); }));
+  }
+  gate.set_value();
+  for (std::future<void>& f : done) f.get();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(ThreadPool, ResizeRacingExternalSubmitsIsSafe) {
+  // Regression: resize used to reshape a per-worker queue vector that
+  // external submitters indexed concurrently.  This must neither crash nor
+  // lose tasks (queued work survives a resize by design).
+  ThreadPool pool(2);
   std::atomic<int> count{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> submitters;
@@ -122,7 +140,7 @@ TEST(WorkStealingPool, ResizeRacingExternalSubmitsIsSafe) {
   EXPECT_EQ(count.load(), 900);
 }
 
-TEST(WorkStealingPool, CellResultsIdenticalAcrossParallelism) {
+TEST(ThreadPool, CellResultsIdenticalAcrossParallelism) {
   // The experiment batches must be bit-identical no matter how many workers
   // serve parallel_for: every sample derives its RNG from (seed, sample) and
   // writes only its own slot.
@@ -435,9 +453,9 @@ TEST(Campaign, ThreadsOptionResizesTheGlobalPool) {
   CampaignOptions options;
   options.threads = 2;
   (void)run_campaign(spec, options);
-  EXPECT_EQ(WorkStealingPool::global().worker_count(), 2u);
+  EXPECT_EQ(ThreadPool::global().worker_count(), 2u);
   set_parallelism(0);
-  WorkStealingPool::global().resize(0);
+  ThreadPool::global().resize(0);
 }
 
 TEST(Campaign, ResumesAfterInterruption) {

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/pool.hpp"
 #include "experiment/figures.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/strategy.hpp"
@@ -126,7 +125,7 @@ TEST(Obs, SpansNestAcrossParallelForWorkers) {
 
 // The Obs.SpansNestAcrossParallelForWorkers pattern with the sink freed
 // right after the loop, repeated: a pool helper that still closed its
-// pool/task span, or counted a steal or an idle spell, into the freed sink
+// pool/task span, or counted an idle spell, into the freed sink
 // is a heap-use-after-free under ASan (the CI sanitizer jobs run this).
 TEST(ObsStress, SinkFreedRightAfterParallelFor) {
   set_parallelism(4);
@@ -167,7 +166,7 @@ TEST(ObsStress, SinkFreedRightAfterSubmit) {
     {
       obs::ScopedSink scoped(*sink);
       for (int t = 0; t < kTasks; ++t) {
-        WorkStealingPool::global().submit([&] {
+        ThreadPool::global().submit([&] {
           std::lock_guard<std::mutex> lock(mutex);
           ++done;
           cv.notify_all();
@@ -211,7 +210,7 @@ TEST(Obs, CounterMergeAcrossThreadsIsDeterministic) {
   EXPECT_EQ(first.counter_value(obs::Counter::CacheHit),
             second.counter_value(obs::Counter::CacheHit));
   // Counters never recorded are reported as 0, not as rows.  CacheMiss,
-  // because the pool records PoolSteal/PoolSleep itself when helpers steal.
+  // because the pool records PoolSleep itself.
   EXPECT_EQ(first.counter_value(obs::Counter::CacheMiss), 0u);
 }
 

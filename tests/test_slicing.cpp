@@ -209,10 +209,7 @@ TEST(Slicing, MinLaxityAndLaxity) {
 }
 
 TEST(Slicing, DescribeAndAdapterName) {
-  auto metric = make_pure();
-  const auto ccne = make_ccne();
-  DeadlineDistributor distributor(*metric, *ccne);
-  EXPECT_EQ(distributor.describe(), "PURE+CCNE");
+  EXPECT_EQ(make_slicing_distributor(make_pure(), make_ccne())->name(), "PURE+CCNE");
 
   const auto adapter = make_slicing_distributor(make_norm(), make_ccaa());
   EXPECT_EQ(adapter->name(), "NORM+CCAA");
