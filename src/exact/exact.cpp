@@ -695,7 +695,7 @@ std::vector<Time> effective_deadlines(const TaskGraph& graph) {
     const Node& node = graph.node(id);
     if (node.kind == NodeKind::Computation && is_set(node.boundary_deadline))
       e = node.boundary_deadline;
-    for (NodeId succ : node.succs) {
+    for (NodeId succ : graph.succs(id)) {
       if (ed[succ.index()] < e) e = ed[succ.index()];
     }
     ed[id.index()] = e;

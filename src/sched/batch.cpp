@@ -47,13 +47,13 @@ void PreparedTopology::build(const TaskGraph& graph, const Machine& machine) {
         !pin.valid() || static_cast<int>(pin.index()) < machine.n_procs,
         "pinned processor outside the machine");
     pinned[v] = pin.value;
-    waiting_init[v] = static_cast<std::uint32_t>(node.preds.size());
+    waiting_init[v] = static_cast<std::uint32_t>(graph.preds(id).size());
     // Hoisted predecessor comm list, ascending by node id (the base
     // ordering of the trace contract's (finish, id) commit order).  Arc
     // insertion appends increasing comm ids, so this is a copy in the
     // common case; the insertion pass restores order otherwise.
     const std::size_t flat = pred_comms.size();
-    for (const NodeId comm : node.preds) {
+    for (const NodeId comm : graph.preds(id)) {
       pred_comms.push_back(comm);
       std::size_t j = pred_comms.size() - 1;
       while (j > flat && comm < pred_comms[j - 1]) {
@@ -63,7 +63,7 @@ void PreparedTopology::build(const TaskGraph& graph, const Machine& machine) {
       pred_comms[j] = comm;
     }
     pred_offset[v + 1] = static_cast<std::uint32_t>(pred_comms.size());
-    for (const NodeId comm : node.succs) succ_comms.push_back(comm);
+    for (const NodeId comm : graph.succs(id)) succ_comms.push_back(comm);
     succ_offset[v + 1] = static_cast<std::uint32_t>(succ_comms.size());
   }
 

@@ -54,7 +54,7 @@ Time end_to_end_lateness(const TaskGraph& graph, const Schedule& schedule) {
   for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
     const NodeId id(v);
     const Node& node = graph.node(id);
-    if (node.kind != NodeKind::Computation || !node.succs.empty()) continue;
+    if (node.kind != NodeKind::Computation || !graph.succs(id).empty()) continue;
     FEAST_REQUIRE(is_set(node.boundary_deadline));
     worst = std::max(worst, schedule.placement(id).finish - node.boundary_deadline);
     any = true;

@@ -15,6 +15,7 @@
 /// through list_scheduler_detail.hpp so the two cores cannot drift apart
 /// silently.
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "sched/bus.hpp"
@@ -109,7 +110,8 @@ void commit(Context& ctx, NodeId id, ProcId proc) {
 
   // Commit incoming transfers in (producer finish, comm id) order — the
   // trace contract's deterministic shared-bus reservation order.
-  std::vector<NodeId> comms = ctx.graph->preds(id);
+  const std::span<const NodeId> preds = ctx.graph->preds(id);
+  std::vector<NodeId> comms(preds.begin(), preds.end());
   std::sort(comms.begin(), comms.end());
   detail::order_comms_by_finish(comms, *ctx.graph, *ctx.schedule);
   for (const NodeId comm : comms) {

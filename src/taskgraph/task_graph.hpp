@@ -21,8 +21,19 @@
 /// release times and relative deadlines produced by deadline distribution
 /// live in a separate DeadlineAssignment (see core/annotation.hpp), keeping
 /// the graph immutable during experiments.
+///
+/// Arc storage: every arc list of a graph lives in one pool (a single
+/// std::vector<NodeId>), and each node holds the offset, size and capacity
+/// of its predecessor and successor slots there.  A list that fills its
+/// slot moves to the end of the pool with double the capacity; a
+/// communication node's two lists hold exactly one entry each.  Building a
+/// graph therefore costs no heap allocation per node.  preds() and succs()
+/// return spans into the pool, valid until the graph's next mutation.
 #pragma once
 
+#include <cstdint>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +53,8 @@ enum class NodeKind : std::uint8_t {
 const char* to_string(NodeKind kind) noexcept;
 
 /// One node of the task graph.  Plain data; invariants are enforced by
-/// TaskGraph's mutators.
+/// TaskGraph's mutators.  Its arcs live in the graph (TaskGraph::preds,
+/// TaskGraph::succs).
 struct Node {
   NodeKind kind = NodeKind::Computation;
   std::string name;
@@ -64,9 +76,6 @@ struct Node {
   /// Boundary absolute deadline; set on output subtasks (the end-to-end
   /// deadline D of the pair ⟨τ_1, τ_n⟩), unset elsewhere.
   Time boundary_deadline = kUnsetTime;
-
-  std::vector<NodeId> preds;
-  std::vector<NodeId> succs;
 };
 
 /// A directed acyclic graph of computation and communication subtasks.
@@ -82,8 +91,18 @@ struct Node {
 /// Acyclicity is not enforced per-arc (that would be quadratic):
 /// validate_structure() checks it, and validate_for_distribution(), which
 /// every distributor runs on its input, checks it with the boundary rules.
+///
+/// All arc lists share one pool per graph (see the file comment), so a span
+/// returned by preds() or succs() stays valid only until the next call of a
+/// mutator on the same graph: adding an arc may move any list.  Copies and
+/// moves carry the pool along.
 class TaskGraph {
  public:
+  /// Reserves room for \p subtasks computation subtasks joined by
+  /// \p precedences arcs, so that building a graph of that size
+  /// reallocates nothing in the common case.  Optional.
+  void reserve(std::size_t subtasks, std::size_t precedences);
+
   /// Adds a computation subtask with execution time \p exec_time >= 0.
   NodeId add_subtask(std::string name, Time exec_time);
 
@@ -125,11 +144,13 @@ class TaskGraph {
   /// True when \p id is a communication subtask.
   bool is_communication(NodeId id) const { return kind(id) == NodeKind::Communication; }
 
-  /// Predecessors of a node.
-  const std::vector<NodeId>& preds(NodeId id) const { return node(id).preds; }
+  /// Predecessors of a node, in arc insertion order.  Valid until the
+  /// graph's next mutation.
+  std::span<const NodeId> preds(NodeId id) const { return arcs(links(id).preds); }
 
-  /// Successors of a node.
-  const std::vector<NodeId>& succs(NodeId id) const { return node(id).succs; }
+  /// Successors of a node, in arc insertion order.  Valid until the
+  /// graph's next mutation.
+  std::span<const NodeId> succs(NodeId id) const { return arcs(links(id).succs); }
 
   /// For a communication node, the producing computation subtask.
   NodeId comm_source(NodeId comm) const;
@@ -143,8 +164,12 @@ class TaskGraph {
   /// Computation subtasks with no successors (output subtasks).
   std::vector<NodeId> outputs() const;
 
-  /// All node ids in insertion order.
-  std::vector<NodeId> all_nodes() const;
+  /// All node ids in insertion order, as a sized range that allocates
+  /// nothing.
+  auto all_nodes() const {
+    return std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(nodes_.size())) |
+           std::views::transform([](std::uint32_t v) { return NodeId(v); });
+  }
 
   /// All computation-node ids in insertion order.
   std::vector<NodeId> computation_nodes() const;
@@ -160,12 +185,35 @@ class TaskGraph {
   Time mean_exec_time() const noexcept;
 
  private:
+  /// One arc list: arcs_[offset, offset + size) in use, room for capacity.
+  struct Slot {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+  };
+  struct Links {
+    Slot preds;
+    Slot succs;
+  };
+
   Node& mutable_node(NodeId id) {
     FEAST_REQUIRE(id.index() < nodes_.size());
     return nodes_[id.index()];
   }
+  const Links& links(NodeId id) const {
+    FEAST_REQUIRE(id.index() < links_.size());
+    return links_[id.index()];
+  }
+  std::span<const NodeId> arcs(Slot slot) const {
+    return {arcs_.data() + slot.offset, slot.size};
+  }
+  /// Appends \p id to the list in \p slot, moving the list to the end of
+  /// the pool with double the capacity when it is full.
+  void push_arc(Slot& slot, NodeId id);
 
   std::vector<Node> nodes_;
+  std::vector<Links> links_;   ///< Parallel to nodes_.
+  std::vector<NodeId> arcs_;   ///< The arc pool every Slot points into.
   std::size_t subtask_count_ = 0;
 };
 

@@ -42,35 +42,37 @@ ValidationReport oracle(const TaskGraph& graph) {
 
   for (const NodeId id : graph.all_nodes()) {
     const Node& n = graph.node(id);
+    const auto preds = graph.preds(id);
+    const auto succs = graph.succs(id);
     const std::string at = label(graph, id) + ": ";
     if (n.exec_time < 0.0) problem(at + "negative execution time");
     if (n.message_items < 0.0) problem(at + "negative message size");
     if (n.kind == NodeKind::Communication) {
-      if (n.preds.size() != 1 || n.succs.size() != 1) {
+      if (preds.size() != 1 || succs.size() != 1) {
         problem(at +
                 "communication node must have exactly one predecessor and one successor");
         continue;
       }
-      if (!graph.is_computation(n.preds.front()) ||
-          !graph.is_computation(n.succs.front())) {
+      if (!graph.is_computation(preds.front()) ||
+          !graph.is_computation(succs.front())) {
         problem(at + "communication node endpoints must be computation subtasks");
       }
       if (n.exec_time != 0.0) {
         problem(at + "communication node carries an execution time");
       }
     } else {
-      for (const NodeId adj : n.preds) {
+      for (const NodeId adj : preds) {
         if (!graph.is_communication(adj)) {
           problem(at + "computation node has a non-communication predecessor");
         }
       }
-      for (const NodeId adj : n.succs) {
+      for (const NodeId adj : succs) {
         if (!graph.is_communication(adj)) {
           problem(at + "computation node has a non-communication successor");
         }
       }
     }
-    for (const NodeId succ : n.succs) {
+    for (const NodeId succ : succs) {
       const auto& back = graph.preds(succ);
       if (std::find(back.begin(), back.end(), id) == back.end()) {
         problem(at + "successor link without matching predecessor link");
