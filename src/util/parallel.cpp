@@ -117,6 +117,13 @@ void ThreadPool::start_workers(unsigned threads) {
   for (unsigned t = 0; t < threads; ++t) {
     workers_.emplace_back([this, t] { worker_main(t); });
   }
+  started_.store(true, std::memory_order_release);
+}
+
+void ThreadPool::ensure_started() {
+  if (started_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> resizing(resize_mutex_);
+  if (!started_.load(std::memory_order_relaxed)) start_workers(resolve_thread_count(0));
 }
 
 void ThreadPool::stop_workers(Mode mode) {
@@ -145,6 +152,7 @@ void ThreadPool::resize(unsigned threads) {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  ensure_started();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push_back(Task{std::move(task), nullptr});
@@ -159,6 +167,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     return;
   }
 
+  ensure_started();
   Loop loop(n, body);
   std::size_t helpers = 0;
   {
@@ -179,7 +188,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(0);
+  static ThreadPool pool{Deferred{}};
   return pool;
 }
 
@@ -198,6 +207,9 @@ void set_parallelism(unsigned threads) {
   if (!pool.on_worker_thread()) pool.resize(threads);
 }
 
-unsigned parallelism() { return ThreadPool::global().worker_count(); }
+unsigned parallelism() {
+  const unsigned workers = ThreadPool::global().worker_count();
+  return workers > 0 ? workers : resolve_thread_count(0);
+}
 
 }  // namespace feast

@@ -19,6 +19,7 @@
 /// construction.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -78,12 +79,18 @@ class ThreadPool {
   bool on_worker_thread() const noexcept;
 
   /// The process-wide pool used by feast::parallel_for and the campaign
-  /// runner.  Created on first use with hardware concurrency; resized by
-  /// feast::set_parallelism.
+  /// runner.  It starts no worker until asked: feast::set_parallelism(n)
+  /// starts exactly n, and the first task or loop with no earlier resize
+  /// starts hardware concurrency.
   static ThreadPool& global();
 
  private:
   struct Loop;
+  struct Deferred {};
+
+  /// A pool with no workers yet; the first submit or parallel_for starts
+  /// the default count unless a resize came first.
+  explicit ThreadPool(Deferred) {}
 
   /// A queued task: a submitted function, or a helper of one loop.
   struct Task {
@@ -100,6 +107,8 @@ class ThreadPool {
   void participate(Loop& loop);
   void start_workers(unsigned threads);
   void stop_workers(Mode mode);
+  /// Starts the default worker count unless workers are running.
+  void ensure_started();
 
   /// Guards tasks_, mode_, the size of workers_ and each loop's entry count
   /// and error.
@@ -111,6 +120,9 @@ class ThreadPool {
   /// workers holding resize_mutex_ alone, since they need mutex_ to exit.
   std::vector<std::thread> workers_;
   std::mutex resize_mutex_;
+  /// Set once workers have been started; lets ensure_started skip both
+  /// mutexes on every later task.
+  std::atomic<bool> started_{false};
 };
 
 /// Invokes body(i) for i in [0, n) on the global pool (serially when it has
@@ -124,7 +136,8 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 /// which cannot join itself.
 void set_parallelism(unsigned threads);
 
-/// The global pool's worker count (at least 1).
+/// The global pool's worker count (at least 1): before the pool has
+/// started, the count it would start.  Starts no thread.
 unsigned parallelism();
 
 }  // namespace feast
